@@ -10,7 +10,7 @@
 //!   of `/net` (names, bytes, ownership). Parallelism changes which
 //!   thread runs a driver, never what the drivers do.
 //! - **Fan-in flush cost** — a `write_counters_batch` costs exactly
-//!   3 syscalls regardless of entry count, so with epoch fan-in the
+//!   3 syscalls regardless of entry count, so with fan-in the
 //!   counter-write cost of a stats poll is `3·flushes` syscalls for
 //!   `replies` stats replies: the syscalls-per-reply ratio is pinned
 //!   strictly below 1 at k=8 (80 switches), and the flush/reply counts
@@ -28,13 +28,13 @@ use std::sync::atomic::Ordering;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use yanc_driver::ParRuntime;
+use yanc_driver::Runtime;
 use yanc_harness::build_fabric;
 use yanc_openflow::Version;
 
 const K: u16 = 8;
 
-fn total_syscalls(rt: &ParRuntime) -> u64 {
+fn total_syscalls(rt: &Runtime) -> u64 {
     rt.yfs.filesystem().counters().total()
 }
 
@@ -43,7 +43,7 @@ fn total_syscalls(rt: &ParRuntime) -> u64 {
 /// claim pins: per-phase sweeps, total syscalls, sched runs, and the
 /// schedule-independent content digest of `/net`.
 fn run_replay(workers: usize) -> (Vec<u32>, u64, u64, u64) {
-    let mut rt = ParRuntime::with_workers(workers);
+    let mut rt = Runtime::with_workers(workers);
     let mut sweeps = Vec::new();
     let topo = build_fabric(&mut rt, K, Version::V1_3);
     let hosts = topo.hosts.clone();
@@ -63,11 +63,11 @@ fn run_replay(workers: usize) -> (Vec<u32>, u64, u64, u64) {
     )
 }
 
-/// Same fabric with epoch fan-in enabled: returns (flushes, replies)
+/// Same fabric with fan-in enabled: returns (flushes, replies)
 /// after one storm + stats poll.
 fn run_fanin(workers: usize) -> (u64, u64) {
-    let mut rt = ParRuntime::with_workers(workers);
-    let fanin = rt.enable_fanin(0);
+    let mut rt = Runtime::with_workers(workers);
+    let fanin = rt.enable_fanin();
     let topo = build_fabric(&mut rt, K, Version::V1_3);
     let hosts = topo.hosts.clone();
     for (i, &(h, _)) in hosts.iter().enumerate() {
@@ -98,7 +98,7 @@ fn bench(c: &mut Criterion) {
     // ---- Phase A.2: fan-in flush cost ---------------------------------
     // First pin the constant: one write_counters_batch is 3 syscalls no
     // matter how many counters ride in it.
-    let mut probe = ParRuntime::with_workers(1);
+    let mut probe = Runtime::with_workers(1);
     let sw = probe.add_switch_with_driver(0xA, 4, 1, vec![Version::V1_3], Version::V1_3);
     probe.pump().unwrap();
     let dir = probe.yfs.switch_dir(&sw);
@@ -125,11 +125,10 @@ fn bench(c: &mut Criterion) {
     }
 
     // ---- Phase A.3: stealing under a straggler ------------------------
-    let mut rt = ParRuntime::with_workers(4);
+    let mut rt = Runtime::with_workers(4);
     let topo = build_fabric(&mut rt, K, Version::V1_3);
     rt.inject_straggler(Some(0));
-    let sum = |rt: &ParRuntime,
-               f: fn(&yanc_driver::WorkerStats) -> &std::sync::atomic::AtomicU64| {
+    let sum = |rt: &Runtime, f: fn(&yanc_driver::WorkerStats) -> &std::sync::atomic::AtomicU64| {
         rt.worker_stats()
             .iter()
             .map(|w| f(w).load(Ordering::Relaxed))
@@ -211,7 +210,7 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("storm_round_k8", workers),
             &workers,
             |b, &workers| {
-                let mut rt = ParRuntime::with_workers(workers);
+                let mut rt = Runtime::with_workers(workers);
                 let topo = build_fabric(&mut rt, K, Version::V1_3);
                 let mut seq = 1u16;
                 b.iter(|| {

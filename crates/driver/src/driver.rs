@@ -49,7 +49,8 @@ pub enum DriverState {
     /// Fully operational.
     Ready,
     /// Version negotiation failed — the supervisor re-attaches a driver
-    /// speaking a version the switch offered (see `Runtime::reattach_failed`).
+    /// speaking a version the switch offered (see
+    /// [`Runtime::reattach_failed`](crate::Runtime::reattach_failed)).
     Failed,
 }
 
@@ -177,7 +178,7 @@ pub struct OpenFlowDriver {
     readiness: Arc<DriverReadiness>,
     /// Optional stats fan-in sink (see [`crate::par`]): when attached,
     /// counter aggregates are buffered there instead of being flushed
-    /// per reply, and the runtime lands one batch per epoch.
+    /// per reply, and the runtime lands one batch per pump quiescence.
     fanin: Option<crate::par::FanInHandle>,
 }
 
@@ -715,7 +716,7 @@ impl OpenFlowDriver {
         }
         match &mut self.fanin {
             // Fan-in attached: buffer worker-locally; the runtime lands
-            // everything in one batched flush per epoch.
+            // everything in one batched flush per pump quiescence.
             Some(h) => h.push(&sw, entries),
             None => {
                 let dir = self.yfs.switch_dir(&sw);

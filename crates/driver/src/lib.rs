@@ -1,9 +1,10 @@
 //! # yanc-driver — OpenFlow drivers for the yanc file system
 //!
 //! Per-protocol-version drivers (paper §4.1) translating between `/net`
-//! file operations and OpenFlow control channels, plus a [`Runtime`] that
-//! pumps a simulated network and its drivers to quiescence for
-//! deterministic experiments.
+//! file operations and OpenFlow control channels, plus the one [`Runtime`]
+//! that pumps a simulated network and its drivers to quiescence for
+//! deterministic experiments — inline at one worker, through the
+//! work-stealing pool in [`par`] above one.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -15,41 +16,9 @@ pub mod runtime;
 pub use driver::{
     parse_packet_out_line, DriverReadiness, DriverState, DriverStats, OpenFlowDriver,
 };
-pub use par::{FanIn, FanInHandle, ParRuntime, WorkerStats};
+pub use par::{FanIn, FanInHandle, WorkerStats};
 pub use runtime::{Runtime, SchedStats};
 
-use yanc::{YancFs, YancResult};
-use yanc_dataplane::Network;
-use yanc_openflow::Version;
-
-/// The surface the harness and the supervisor need from a pump executor,
-/// implemented by both the serial [`Runtime`] and the multi-core
-/// [`ParRuntime`]. Generic fabric builders, settle loops and fault
-/// supervision run unchanged over either.
-pub trait ControlRuntime {
-    /// The yanc file tree this executor pumps drivers against.
-    fn yfs(&self) -> &YancFs;
-    /// The simulated network, for topology building and traffic injection.
-    fn network(&mut self) -> &mut Network;
-    /// Add a switch and attach a driver speaking `driver_version`; returns
-    /// the yanc switch name (`sw<dpid:hex>`).
-    fn add_switch_with_driver(
-        &mut self,
-        dpid: u64,
-        n_ports: u16,
-        n_tables: u8,
-        switch_versions: Vec<Version>,
-        driver_version: Version,
-    ) -> String;
-    /// Pump network and drivers to quiescence; returns sweep count.
-    fn pump(&mut self) -> YancResult<u32>;
-    /// Advance virtual time (expiring flow timeouts) and pump.
-    fn advance(&mut self, seconds: u64) -> YancResult<u32>;
-    /// Ask every driver to refresh stats counters, then pump.
-    fn poll_stats(&mut self) -> YancResult<u32>;
-    /// Supervised recovery from failed version negotiation; returns the
-    /// number of re-attachments.
-    fn reattach_failed(&mut self) -> usize;
-    /// Schedule a deterministic control-channel fault on `dpid`'s driver.
-    fn inject_channel_fault(&mut self, dpid: u64, drop_frames: u32, reorder: bool) -> bool;
-}
+/// The name the frozen `benchmark/` package still imports for the
+/// runtime; goes away with that package's next PR.
+pub type ParRuntime = Runtime;

@@ -1,13 +1,15 @@
-//! # Multi-core pump executor (paper §5: "the controller is an OS")
+//! # Worker pool and stats fan-in (paper §5: "the controller is an OS")
 //!
-//! A real OS scheduler runs its run queue on every core. [`ParRuntime`]
-//! does the same for drivers: each pump sweep takes the ready set from
-//! the shared [`PollSet`](yanc_vfs::PollSet) readiness scan (exactly the
-//! scan the serial [`Runtime`](crate::Runtime) does), partitions it
-//! round-robin into per-worker run queues, and lets a fixed pool of
-//! worker threads drain them with **work stealing** — an idle worker
-//! pops from the *back* of a sibling's queue, so a straggling worker
-//! never serializes the sweep.
+//! A real OS scheduler runs its run queue on every core. Above one
+//! worker, [`Runtime::pump`](crate::Runtime::pump) does the same for
+//! drivers: each sweep's ready set (frozen by the coordinator's
+//! [`PollSet`](yanc_vfs::PollSet) readiness scan) is partitioned
+//! round-robin into per-worker run queues, and the fixed [`Pool`] of
+//! worker threads in this module drains them with **work stealing** — an
+//! idle worker pops from the *back* of a sibling's queue, so a straggling
+//! worker never serializes the sweep. At one worker there is no pool and
+//! no thread: the runtime dispatches inline in driver-index order, and
+//! that schedule is the reference the pool is tested against.
 //!
 //! Three invariants make the parallel schedule safe and testable:
 //!
@@ -17,22 +19,20 @@
 //! 2. **Sweep barrier.** The ready set is fixed by the coordinator's
 //!    scan before workers start and the coordinator waits for the pool
 //!    to drain it; each ready driver runs exactly once per sweep, the
-//!    same dispatch the serial pump makes. Drivers own disjoint
+//!    same dispatch the one-worker loop makes. Drivers own disjoint
 //!    per-switch fs subtrees, so per-op syscall totals and the `/net`
-//!    digest are **bit-identical across worker counts** — and
-//!    `with_workers(1)` dispatches inline in driver-index order,
-//!    replaying the exact serial schedule.
+//!    digest are **bit-identical across worker counts**.
 //! 3. **No wall clock.** Workers block on condvars and are released by
-//!    state changes only; epochs come from the network's virtual clock.
-//!    The flake audit holds this file to the same rule as the tests.
+//!    state changes only. The flake audit holds this file to the same
+//!    rule as the tests.
 //!
 //! The module also owns the **stats fan-in combiner** ([`FanIn`]): with
 //! N switches polled, per-switch multipart replies no longer cost one
 //! `write_counters_batch` each — drivers buffer aggregates worker-
-//! locally and the coordinator lands *one* batched flush per epoch
-//! against the switches directory (3 charged syscalls total), the
-//! aggregation policy Kreutz et al. name as the classic controller
-//! bottleneck.
+//! locally and the coordinator lands *one* batched flush per pump
+//! quiescence against the switches directory (3 charged syscalls
+//! total), the aggregation policy Kreutz et al. name as the classic
+//! controller bottleneck.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -41,13 +41,8 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
-use yanc::{YancFs, YancResult};
-use yanc_dataplane::Network;
-use yanc_openflow::Version;
-use yanc_vfs::Filesystem;
 
-use crate::driver::{DriverState, OpenFlowDriver};
-use crate::runtime::{PollBook, SchedStats, SharedNetStats};
+use crate::driver::OpenFlowDriver;
 
 thread_local! {
     /// Which fan-in shard this thread writes: workers set their index at
@@ -82,14 +77,10 @@ struct FanEntry {
 /// [`push`](FanInHandle::push) counter aggregates into worker-local
 /// shards instead of flushing one `write_counters_batch` per multipart
 /// reply; the coordinator drains every shard into **one** batched flush
-/// per epoch against the switches directory. Knobs and meters render at
-/// `/net/.proc/driver/fanin/{epoch_ms,pending,flushes,replies}`.
+/// per pump quiescence against the switches directory. Meters render at
+/// `/net/.proc/driver/fanin` (`pending`, `flushes`, `replies`).
 pub struct FanIn {
     shards: Vec<Mutex<Vec<FanEntry>>>,
-    /// Minimum virtual-clock milliseconds between flushes (0 = flush at
-    /// every pump quiescence).
-    epoch_ms: AtomicU64,
-    last_flush_ms: AtomicU64,
     /// Entries buffered and not yet landed.
     pending: AtomicU64,
     /// Batched flushes performed.
@@ -99,11 +90,9 @@ pub struct FanIn {
 }
 
 impl FanIn {
-    fn new(shards: usize, epoch_ms: u64) -> Self {
+    pub(crate) fn new(shards: usize) -> Self {
         FanIn {
             shards: (0..shards.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
-            epoch_ms: AtomicU64::new(epoch_ms),
-            last_flush_ms: AtomicU64::new(0),
             pending: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
             replies: AtomicU64::new(0),
@@ -125,10 +114,38 @@ impl FanIn {
         self.replies.load(Ordering::Relaxed)
     }
 
-    fn render(&self) -> String {
+    /// A pusher's handle; `driver` must be unique per handle.
+    pub(crate) fn handle(self: &Arc<Self>, driver: u64) -> FanInHandle {
+        FanInHandle {
+            driver,
+            seq: 0,
+            sink: self.clone(),
+        }
+    }
+
+    /// Drain every shard into one batch (paths relative to the switches
+    /// directory) and count a flush; `None` when nothing is buffered.
+    /// Called by the coordinator between sweeps, when no worker pushes.
+    pub(crate) fn take_batch(&self) -> Option<Vec<(String, u64)>> {
+        if self.pending.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        let mut entries: Vec<FanEntry> = Vec::new();
+        for shard in &self.shards {
+            entries.append(&mut shard.lock());
+        }
+        // Shard assignment depends on which worker buffered an entry;
+        // the (driver, seq) sort erases that, so the landed batch is
+        // identical across worker counts.
+        entries.sort_by_key(|e| (e.driver, e.seq));
+        self.pending.store(0, Ordering::Relaxed);
+        self.flushes.fetch_add(1, Ordering::Relaxed);
+        Some(entries.into_iter().map(|e| (e.path, e.value)).collect())
+    }
+
+    pub(crate) fn render(&self) -> String {
         format!(
-            "epoch_ms {}\npending {}\nflushes {}\nreplies {}\n",
-            self.epoch_ms.load(Ordering::Relaxed),
+            "pending {}\nflushes {}\nreplies {}\n",
             self.pending.load(Ordering::Relaxed),
             self.flushes.load(Ordering::Relaxed),
             self.replies.load(Ordering::Relaxed),
@@ -203,10 +220,10 @@ struct PoolShared {
     steal_cv: Condvar,
 }
 
-struct Pool {
+/// The fixed pool of pump worker threads; joined on drop.
+pub(crate) struct Pool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
-    workers: usize,
 }
 
 fn lock_state(shared: &PoolShared) -> std::sync::MutexGuard<'_, PoolState> {
@@ -256,7 +273,11 @@ fn worker_loop(me: usize, shared: Arc<PoolShared>) {
             if idx.is_none() {
                 for off in 1..n {
                     let victim = (me + off) % n;
-                    if let Some(i) = work.queues[victim].lock().pop_back() {
+                    // Bound first so the victim's queue lock is released
+                    // here: held across the gate below it deadlocks with a
+                    // straggler that holds the gate and checks its queue.
+                    let back = work.queues[victim].lock().pop_back();
+                    if let Some(i) = back {
                         idx = Some(i);
                         stolen = true;
                         // A gated straggler may now have an empty queue.
@@ -288,378 +309,42 @@ fn worker_loop(me: usize, shared: Arc<PoolShared>) {
     }
 }
 
-/// A switch-plus-driver attach deferred until a given pump sweep — the
-/// deterministic stand-in for "a worker thread registered a readiness
-/// edge while the scan was in flight" (the poll-set rebuild regression).
-struct StagedAttach {
-    at_sweep: u32,
-    dpid: u64,
-    n_ports: u16,
-    n_tables: u8,
-    switch_versions: Vec<Version>,
-    driver_version: Version,
-}
-
-/// Multi-core counterpart of [`Runtime`](crate::Runtime): same network,
-/// same `/net` tree, same event-driven readiness scan — but ready
-/// drivers are drained by a worker pool with work stealing, and stats
-/// land through the [`FanIn`] combiner. `with_workers(1)` replays the
-/// serial schedule exactly; see the module docs for the invariants.
-pub struct ParRuntime {
-    /// The simulated network.
-    pub net: Network,
-    /// Per-switch drivers, each behind its run lock.
-    pub drivers: Vec<Arc<Mutex<OpenFlowDriver>>>,
-    /// The yanc file tree.
-    pub yfs: YancFs,
-    shared_stats: Arc<SharedNetStats>,
-    sched: Arc<SchedStats>,
-    book: PollBook,
-    pool: Option<Pool>,
-    workers: usize,
-    ledgers: Vec<Arc<WorkerStats>>,
-    fanin: Option<Arc<FanIn>>,
-    next_fanin_id: u64,
-    straggler: Option<usize>,
-    staged: Vec<StagedAttach>,
-}
-
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-impl ParRuntime {
-    /// A fresh parallel runtime with `available_parallelism` workers.
-    pub fn new() -> Self {
-        Self::with_workers(default_workers())
-    }
-
-    /// A fresh parallel runtime with a fixed pool of `workers` threads
-    /// (clamped to ≥ 1). `with_workers(1)` spawns no threads at all and
-    /// dispatches inline in driver-index order — the serial schedule.
-    pub fn with_workers(workers: usize) -> Self {
-        Self::with_fs_workers(Arc::new(Filesystem::new()), workers)
-    }
-
-    /// A parallel runtime over an existing filesystem (namespace / DFS
-    /// experiments) with a fixed worker count.
-    pub fn with_fs_workers(fs: Arc<Filesystem>, workers: usize) -> Self {
-        let workers = workers.max(1);
-        let yfs = YancFs::init(fs, "/net").expect("init /net");
-        let ledgers: Vec<Arc<WorkerStats>> = (0..workers)
-            .map(|_| Arc::new(WorkerStats::default()))
+impl Pool {
+    /// Spawn `workers` pump threads, parked until the first sweep.
+    pub(crate) fn spawn(workers: usize) -> Pool {
+        let shared = Arc::new(PoolShared {
+            state: StdMutex::new(PoolState::default()),
+            work_cv: Condvar::new(),
+            done_cv: Condvar::new(),
+            gate: StdMutex::new(()),
+            steal_cv: Condvar::new(),
+        });
+        let handles = (0..workers)
+            .map(|i| {
+                let shared = shared.clone();
+                std::thread::Builder::new()
+                    .name(format!("yanc-pump-{i}"))
+                    .spawn(move || worker_loop(i, shared))
+                    .expect("spawn pump worker")
+            })
             .collect();
-        let pool = (workers > 1).then(|| {
-            let shared = Arc::new(PoolShared {
-                state: StdMutex::new(PoolState::default()),
-                work_cv: Condvar::new(),
-                done_cv: Condvar::new(),
-                gate: StdMutex::new(()),
-                steal_cv: Condvar::new(),
-            });
-            let handles = (0..workers)
-                .map(|i| {
-                    let shared = shared.clone();
-                    std::thread::Builder::new()
-                        .name(format!("yanc-pump-{i}"))
-                        .spawn(move || worker_loop(i, shared))
-                        .expect("spawn pump worker")
-                })
-                .collect();
-            Pool {
-                shared,
-                handles,
-                workers,
-            }
-        });
-        ParRuntime {
-            net: Network::new(),
-            drivers: Vec::new(),
-            yfs,
-            shared_stats: Arc::new(SharedNetStats::default()),
-            sched: Arc::new(SchedStats::default()),
-            book: PollBook::new(),
-            pool,
-            workers,
-            ledgers,
-            fanin: None,
-            next_fanin_id: 0,
-            straggler: None,
-            staged: Vec::new(),
-        }
+        Pool { shared, handles }
     }
 
-    /// The size of the worker pool.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Per-worker scheduling ledgers, index = worker.
-    pub fn worker_stats(&self) -> &[Arc<WorkerStats>] {
-        &self.ledgers
-    }
-
-    /// The event-driven scheduler's counters (also rendered at
-    /// `/net/.proc/driver/sched` once introspection is on).
-    pub fn sched_stats(&self) -> Arc<SchedStats> {
-        self.sched.clone()
-    }
-
-    /// Switch on the stats fan-in combiner: every current and future
-    /// driver buffers counter aggregates instead of flushing per reply,
-    /// and the coordinator lands one batched flush per `epoch_ms` of
-    /// virtual time (0 = every pump quiescence). Returns the combiner
-    /// for meter inspection.
-    pub fn enable_fanin(&mut self, epoch_ms: u64) -> Arc<FanIn> {
-        let fanin = Arc::new(FanIn::new(self.workers, epoch_ms));
-        self.fanin = Some(fanin.clone());
-        for d in &self.drivers {
-            let h = self.next_fanin_id;
-            self.next_fanin_id += 1;
-            d.lock().attach_fanin(FanInHandle {
-                driver: h,
-                seq: 0,
-                sink: fanin.clone(),
-            });
-        }
-        // If `.proc` is already mounted this lands the meter files now;
-        // otherwise `enable_introspection` registers them later.
-        let _ = self.register_fanin_proc();
-        fanin
-    }
-
-    /// Retune the flush epoch (virtual-clock ms between batched flushes).
-    pub fn set_fanin_epoch_ms(&self, epoch_ms: u64) {
-        if let Some(f) = &self.fanin {
-            f.epoch_ms.store(epoch_ms, Ordering::Relaxed);
-        }
-    }
-
-    /// Force worker `w` to hold off each sweep until thieves drain its
-    /// queue (all ready drivers are routed to it first) — deterministic
-    /// straggler injection for the steal path. `None` restores normal
-    /// round-robin partitioning. Inert at `workers() == 1`.
-    pub fn inject_straggler(&mut self, worker: Option<usize>) {
-        self.straggler = worker;
-    }
-
-    /// Stage a switch+driver attach to happen at the start of pump sweep
-    /// `at_sweep` (0-based within the next `pump` call) — the rebuild-
-    /// during-pump regression hook: the new driver's readiness edge must
-    /// be scanned on the very sweep it appears.
-    pub fn stage_attach_at_sweep(
-        &mut self,
-        at_sweep: u32,
-        dpid: u64,
-        n_ports: u16,
-        n_tables: u8,
-        switch_versions: Vec<Version>,
-        driver_version: Version,
+    /// Run one sweep's frozen ready set (`ready_idx` indexes `drivers`)
+    /// across the pool and return once every ready driver ran exactly
+    /// once. Ready drivers are dealt round-robin into per-worker queues,
+    /// or all to `straggler` (which then holds off until thieves drained
+    /// it) when one is injected.
+    pub(crate) fn run_sweep(
+        &self,
+        drivers: &[Arc<Mutex<OpenFlowDriver>>],
+        ready_idx: &[usize],
+        ledgers: &[Arc<WorkerStats>],
+        straggler: Option<usize>,
     ) {
-        self.staged.push(StagedAttach {
-            at_sweep,
-            dpid,
-            n_ports,
-            n_tables,
-            switch_versions,
-            driver_version,
-        });
-    }
-
-    fn make_driver(&mut self, version: Version, handle: yanc_dataplane::ControlHandle) {
-        let mut d = OpenFlowDriver::new(version, self.yfs.clone(), handle);
-        if let Some(f) = &self.fanin {
-            let id = self.next_fanin_id;
-            self.next_fanin_id += 1;
-            d.attach_fanin(FanInHandle {
-                driver: id,
-                seq: 0,
-                sink: f.clone(),
-            });
-        }
-        self.drivers.push(Arc::new(Mutex::new(d)));
-    }
-
-    /// Add a switch to the network and attach a driver speaking
-    /// `driver_version`. Returns the yanc switch name (`sw<dpid:hex>`).
-    pub fn add_switch_with_driver(
-        &mut self,
-        dpid: u64,
-        n_ports: u16,
-        n_tables: u8,
-        switch_versions: Vec<Version>,
-        driver_version: Version,
-    ) -> String {
-        let name = format!("sw{dpid:x}");
-        self.net
-            .add_switch(dpid, &name, n_ports, n_tables, switch_versions);
-        let handle = self.net.attach_controller(dpid);
-        self.make_driver(driver_version, handle);
-        name
-    }
-
-    /// Re-attach a switch to a fresh driver (protocol upgrade, §4.1).
-    pub fn swap_driver(&mut self, dpid: u64, driver_version: Version) {
-        let name = format!("sw{dpid:x}");
-        self.drivers
-            .retain(|d| d.lock().switch_name.as_deref() != Some(name.as_str()));
-        self.net.detach_controller(dpid);
-        let handle = self.net.attach_controller(dpid);
-        self.make_driver(driver_version, handle);
-    }
-
-    /// Drivers currently in [`DriverState::Failed`], as
-    /// `(dpid, version offered by the switch)` pairs.
-    pub fn failed_drivers(&self) -> Vec<(u64, Option<u8>)> {
-        self.drivers
-            .iter()
-            .map(|d| d.lock())
-            .filter(|d| d.state() == DriverState::Failed)
-            .map(|d| (d.dpid(), d.offered_version()))
-            .collect()
-    }
-
-    /// Supervised recovery from failed version negotiation (same policy
-    /// as [`Runtime::reattach_failed`](crate::Runtime::reattach_failed)).
-    pub fn reattach_failed(&mut self) -> usize {
-        let mut reattached = 0;
-        for (dpid, offered) in self.failed_drivers() {
-            let offered = match offered {
-                Some(v) => v,
-                None => continue,
-            };
-            let version = if offered >= Version::V1_3.wire() {
-                Version::V1_3
-            } else if offered >= Version::V1_0.wire() {
-                Version::V1_0
-            } else {
-                continue;
-            };
-            self.drivers.retain(|d| {
-                let d = d.lock();
-                !(d.dpid() == dpid && d.state() == DriverState::Failed)
-            });
-            self.net.detach_controller(dpid);
-            let handle = self.net.attach_controller(dpid);
-            self.make_driver(version, handle);
-            reattached += 1;
-        }
-        reattached
-    }
-
-    /// Schedule a deterministic control-channel fault on `dpid`'s driver.
-    pub fn inject_channel_fault(&mut self, dpid: u64, drop_frames: u32, reorder: bool) -> bool {
-        let mut hit = false;
-        for d in &self.drivers {
-            let mut d = d.lock();
-            if d.dpid() == dpid {
-                d.inject_channel_fault(drop_frames, reorder);
-                hit = true;
-            }
-        }
-        hit
-    }
-
-    /// Mount `/net/.proc` and expose dataplane aggregates, the sched
-    /// ledger, per-worker ledgers and (if enabled) the fan-in meters.
-    pub fn enable_introspection(&mut self) -> YancResult<()> {
-        self.yfs.enable_introspection()?;
-        self.shared_stats.register_proc(&self.yfs)?;
-        let fs = self.yfs.filesystem().clone();
-        let driver_dir = self.yfs.proc_dir().join("driver");
-        let sched = self.sched.clone();
-        fs.proc_file(driver_dir.join("sched").as_str(), move || sched.render())?;
-        for (i, ledger) in self.ledgers.iter().enumerate() {
-            let base = driver_dir.join("workers").join(&format!("{i}"));
-            type Getter = fn(&WorkerStats) -> &AtomicU64;
-            let files: [(&str, Getter); 3] = [
-                ("runs", |w| &w.runs),
-                ("steals", |w| &w.steals),
-                ("idle", |w| &w.idle),
-            ];
-            for (file, get) in files {
-                let l = ledger.clone();
-                fs.proc_file(base.join(file).as_str(), move || {
-                    format!("{}\n", get(&l).load(Ordering::Relaxed))
-                })?;
-            }
-        }
-        let _ = self.register_fanin_proc();
-        self.shared_stats.sync_from(&self.net.stats);
-        for d in &self.drivers {
-            d.lock().register_proc();
-        }
-        Ok(())
-    }
-
-    fn register_fanin_proc(&self) -> YancResult<()> {
-        let f = match &self.fanin {
-            Some(f) => f.clone(),
-            None => return Ok(()),
-        };
-        self.yfs.filesystem().proc_file(
-            self.yfs.proc_dir().join("driver").join("fanin").as_str(),
-            move || f.render(),
-        )?;
-        Ok(())
-    }
-
-    fn refresh_poll(&mut self) {
-        let mut probes = Vec::with_capacity(self.drivers.len());
-        let mut dpids = Vec::with_capacity(self.drivers.len());
-        for d in &self.drivers {
-            let d = d.lock();
-            probes.push(d.readiness());
-            dpids.push(d.dpid());
-        }
-        self.book.refresh(&self.yfs, probes, &dpids, &self.sched);
-    }
-
-    fn apply_staged(&mut self, sweep: u32) {
-        if self.staged.is_empty() {
-            return;
-        }
-        let due: Vec<StagedAttach> = {
-            let mut due = Vec::new();
-            let mut keep = Vec::new();
-            for s in self.staged.drain(..) {
-                if s.at_sweep <= sweep {
-                    due.push(s);
-                } else {
-                    keep.push(s);
-                }
-            }
-            self.staged = keep;
-            due
-        };
-        for s in due {
-            self.add_switch_with_driver(
-                s.dpid,
-                s.n_ports,
-                s.n_tables,
-                s.switch_versions,
-                s.driver_version,
-            );
-        }
-    }
-
-    /// Run one sweep's frozen ready set: inline in index order when the
-    /// pool is absent (`workers == 1`), else partitioned across the pool.
-    fn dispatch(&mut self, ready_idx: &[usize]) {
-        let pool = match &self.pool {
-            None => {
-                for &i in ready_idx {
-                    self.drivers[i].lock().run_once();
-                    self.ledgers[0].runs.fetch_add(1, Ordering::Relaxed);
-                }
-                return;
-            }
-            Some(p) => p,
-        };
-        let n = pool.workers;
-        let straggler = self.straggler.filter(|&s| s < n);
+        let n = self.handles.len();
+        let straggler = straggler.filter(|&s| s < n);
         let mut queues: Vec<Mutex<VecDeque<usize>>> =
             (0..n).map(|_| Mutex::new(VecDeque::new())).collect();
         match straggler {
@@ -674,197 +359,36 @@ impl ParRuntime {
             }
         }
         let work = Arc::new(SweepWork {
-            drivers: self.drivers.clone(),
+            drivers: drivers.to_vec(),
             queues,
-            ledgers: self.ledgers.clone(),
+            ledgers: ledgers.to_vec(),
             straggler,
         });
-        let shared = pool.shared.clone();
-        let mut st = lock_state(&shared);
+        let mut st = lock_state(&self.shared);
         st.work = Some(work);
         st.generation += 1;
         st.active = n;
-        shared.work_cv.notify_all();
+        self.shared.work_cv.notify_all();
         while st.active > 0 {
-            st = shared
+            st = self
+                .shared
                 .done_cv
                 .wait(st)
                 .unwrap_or_else(PoisonError::into_inner);
         }
         st.work = None;
     }
-
-    /// Land the fan-in buffer if the epoch allows: one
-    /// `write_counters_batch` against `/net/switches` covering every
-    /// buffered switch (3 charged syscalls, independent of worker count
-    /// and reply count). Returns whether anything was flushed — the
-    /// flush itself raises watch events the drivers must then drain.
-    fn flush_fanin(&mut self) -> bool {
-        let f = match &self.fanin {
-            Some(f) => f.clone(),
-            None => return false,
-        };
-        if f.pending.load(Ordering::Relaxed) == 0 {
-            return false;
-        }
-        let epoch = f.epoch_ms.load(Ordering::Relaxed);
-        let now_ms = self.net.now_us() / 1000;
-        if epoch > 0 && now_ms.saturating_sub(f.last_flush_ms.load(Ordering::Relaxed)) < epoch {
-            return false;
-        }
-        let mut entries: Vec<FanEntry> = Vec::new();
-        for shard in &f.shards {
-            entries.append(&mut shard.lock());
-        }
-        // Shard assignment depends on which worker buffered an entry;
-        // the (driver, seq) sort erases that, so the landed batch is
-        // identical across worker counts.
-        entries.sort_by_key(|e| (e.driver, e.seq));
-        let batch: Vec<(String, u64)> = entries.into_iter().map(|e| (e.path, e.value)).collect();
-        let _ = self
-            .yfs
-            .write_counters_batch(&self.yfs.switches_dir(), &batch);
-        f.pending.store(0, Ordering::Relaxed);
-        f.flushes.fetch_add(1, Ordering::Relaxed);
-        f.last_flush_ms.store(now_ms, Ordering::Relaxed);
-        true
-    }
-
-    /// Pump network and drivers until nothing moves — the same
-    /// event-driven contract as [`Runtime::pump`](crate::Runtime::pump)
-    /// (free readiness scans, zero-cost idle pumps, per-sweep poll-set
-    /// identity check, `Busy` on budget exhaustion), with each sweep's
-    /// ready set drained by the worker pool and the fan-in buffer landed
-    /// at epoch boundaries before returning.
-    pub fn pump(&mut self) -> YancResult<u32> {
-        let mut iterations: u32 = 0;
-        'epoch: loop {
-            loop {
-                self.apply_staged(iterations);
-                self.refresh_poll();
-                let budget = 10_000 + 64 * self.drivers.len() as u64;
-                let net_events = if self.net.pending_events() > 0 {
-                    self.net.pump()
-                } else {
-                    0
-                };
-                let ready = self.book.scan(self.drivers.len());
-                let ready_idx: Vec<usize> = ready
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, &r)| r.then_some(i))
-                    .collect();
-                if net_events == 0 && ready_idx.is_empty() {
-                    break;
-                }
-                self.sched
-                    .runs
-                    .fetch_add(ready_idx.len() as u64, Ordering::Relaxed);
-                self.sched.skips.fetch_add(
-                    (self.drivers.len() - ready_idx.len()) as u64,
-                    Ordering::Relaxed,
-                );
-                self.dispatch(&ready_idx);
-                iterations += 1;
-                if u64::from(iterations) >= budget {
-                    self.shared_stats.sync_from(&self.net.stats);
-                    return Err(yanc::YancError::busy(
-                        yanc_vfs::Errno::EAGAIN,
-                        "runtime failed to quiesce within its sweep budget",
-                    ));
-                }
-            }
-            if !self.flush_fanin() {
-                break 'epoch;
-            }
-        }
-        if iterations == 0 {
-            self.sched.idle_pumps.fetch_add(1, Ordering::Relaxed);
-        }
-        self.shared_stats.sync_from(&self.net.stats);
-        Ok(iterations)
-    }
-
-    /// Advance virtual time (expiring flow timeouts) and pump.
-    pub fn advance(&mut self, seconds: u64) -> YancResult<u32> {
-        self.net.advance(seconds);
-        self.pump()
-    }
-
-    /// Ask every driver to refresh stats counters, then pump.
-    pub fn poll_stats(&mut self) -> YancResult<u32> {
-        for d in &self.drivers {
-            d.lock().poll_stats();
-        }
-        self.pump()
-    }
 }
 
-impl Default for ParRuntime {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Drop for ParRuntime {
+impl Drop for Pool {
     fn drop(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            {
-                let mut st = lock_state(&pool.shared);
-                st.shutdown = true;
-                pool.shared.work_cv.notify_all();
-            }
-            for h in pool.handles {
-                let _ = h.join();
-            }
+        {
+            let mut st = lock_state(&self.shared);
+            st.shutdown = true;
+            self.shared.work_cv.notify_all();
         }
-    }
-}
-
-impl crate::ControlRuntime for ParRuntime {
-    fn yfs(&self) -> &YancFs {
-        &self.yfs
-    }
-
-    fn network(&mut self) -> &mut Network {
-        &mut self.net
-    }
-
-    fn add_switch_with_driver(
-        &mut self,
-        dpid: u64,
-        n_ports: u16,
-        n_tables: u8,
-        switch_versions: Vec<Version>,
-        driver_version: Version,
-    ) -> String {
-        ParRuntime::add_switch_with_driver(
-            self,
-            dpid,
-            n_ports,
-            n_tables,
-            switch_versions,
-            driver_version,
-        )
-    }
-
-    fn pump(&mut self) -> YancResult<u32> {
-        ParRuntime::pump(self)
-    }
-
-    fn advance(&mut self, seconds: u64) -> YancResult<u32> {
-        ParRuntime::advance(self, seconds)
-    }
-
-    fn poll_stats(&mut self) -> YancResult<u32> {
-        ParRuntime::poll_stats(self)
-    }
-
-    fn reattach_failed(&mut self) -> usize {
-        ParRuntime::reattach_failed(self)
-    }
-
-    fn inject_channel_fault(&mut self, dpid: u64, drop_frames: u32, reorder: bool) -> bool {
-        ParRuntime::inject_channel_fault(self, dpid, drop_frames, reorder)
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
     }
 }

@@ -10,7 +10,7 @@
 use std::net::Ipv4Addr;
 
 use yanc_apps::{LearningSwitch, RouterDaemon, TopologyDaemon};
-use yanc_driver::{ControlRuntime, Runtime};
+use yanc_driver::Runtime;
 use yanc_openflow::Version;
 
 /// Anything pumpable alongside the runtime.
@@ -38,9 +38,7 @@ impl PumpApp for LearningSwitch {
 }
 
 /// Pump the runtime and a set of applications until everything is quiet.
-/// Generic over [`ControlRuntime`]: the serial [`Runtime`] and the
-/// multi-core [`yanc_driver::ParRuntime`] settle identically.
-pub fn settle<R: ControlRuntime>(rt: &mut R, apps: &mut [&mut dyn PumpApp]) {
+pub fn settle(rt: &mut Runtime, apps: &mut [&mut dyn PumpApp]) {
     let mut idle_rounds = 0;
     while idle_rounds < 2 {
         let net = rt.pump().unwrap();
@@ -62,7 +60,7 @@ pub fn settle<R: ControlRuntime>(rt: &mut R, apps: &mut [&mut dyn PumpApp]) {
 ///
 /// Two consecutive idle steps are required, mirroring [`settle`]: one tick
 /// of silence can be a restart backoff hole rather than convergence.
-pub fn settle_supervised<R: ControlRuntime>(rt: &mut R, sup: &mut yanc_init::Supervisor) {
+pub fn settle_supervised(rt: &mut Runtime, sup: &mut yanc_init::Supervisor) {
     let mut idle_rounds = 0;
     let mut steps = 0u32;
     while idle_rounds < 2 {
@@ -281,11 +279,7 @@ pub fn build_fat_tree(rt: &mut Runtime, pods: usize, version: Version) -> Topo {
 /// wiring — the data-center-scale shape (§8). The single `pump` at the
 /// end runs every handshake to quiescence, so on return the whole fabric
 /// is materialized under `/net/switches`.
-///
-/// Generic over [`ControlRuntime`], so the same builder drives the serial
-/// [`Runtime`] and the multi-core [`yanc_driver::ParRuntime`] — the
-/// paired serial-vs-parallel replay tests depend on that.
-pub fn build_fabric<R: ControlRuntime>(rt: &mut R, k: u16, version: Version) -> Topo {
+pub fn build_fabric(rt: &mut Runtime, k: u16, version: Version) -> Topo {
     let ft = yanc_dataplane::FatTree::new(k);
     let mut switches = Vec::with_capacity(ft.n_switches());
     for s in ft.switches() {
@@ -293,12 +287,12 @@ pub fn build_fabric<R: ControlRuntime>(rt: &mut R, k: u16, version: Version) -> 
         switches.push(s.dpid);
     }
     for &(a, b) in ft.links() {
-        rt.network().link_switches(a, b, None);
+        rt.net.link_switches(a, b, None);
     }
     let mut hosts = Vec::with_capacity(ft.n_hosts());
     for h in ft.hosts() {
-        let id = rt.network().add_host(&h.name, h.ip);
-        rt.network().attach_host(id, h.edge, None);
+        let id = rt.net.add_host(&h.name, h.ip);
+        rt.net.attach_host(id, h.edge, None);
         hosts.push((id, h.ip));
     }
     rt.pump().unwrap();

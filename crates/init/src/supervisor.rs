@@ -23,7 +23,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use yanc::{YancApp, YancError, YancFs, YancResult};
 use yanc_dfs::Cluster;
-use yanc_driver::ControlRuntime;
+use yanc_driver::Runtime;
 use yanc_vfs::{Credentials, Errno, Filesystem, Namespace, Overlay, Uid, VPath};
 
 use crate::fault::{Fault, FaultInjector};
@@ -532,7 +532,7 @@ impl Supervisor {
     }
 
     /// Fire due control-plane faults into the table and the driver runtime.
-    pub fn apply_faults<R: ControlRuntime>(&mut self, rt: &mut R) -> usize {
+    pub fn apply_faults(&mut self, rt: &mut Runtime) -> usize {
         let due = self.faults.due_net(self.now());
         let n = due.len();
         for f in due {
@@ -587,7 +587,7 @@ impl Supervisor {
 
     /// Re-attach drivers that reached the terminal `failed` state (e.g.
     /// after a version-negotiation fault), counting each re-attachment.
-    pub fn supervise_drivers<R: ControlRuntime>(&mut self, rt: &mut R) -> usize {
+    pub fn supervise_drivers(&mut self, rt: &mut Runtime) -> usize {
         let n = rt.reattach_failed();
         self.driver_reattaches
             .fetch_add(n as u64, Ordering::Relaxed);
@@ -596,7 +596,7 @@ impl Supervisor {
 
     /// One full supervised step: faults → driver supervision → network
     /// pump → scheduler tick. Returns whether anything happened.
-    pub fn step<R: ControlRuntime>(&mut self, rt: &mut R) -> bool {
+    pub fn step(&mut self, rt: &mut Runtime) -> bool {
         let fired = self.apply_faults(rt);
         let reattached = self.supervise_drivers(rt);
         let pumped = rt.pump().unwrap();
@@ -606,7 +606,7 @@ impl Supervisor {
 
     /// Step until quiescent: no work, no pending backoff, no unfired
     /// control-plane faults. Panics after 10 000 steps (livelock guard).
-    pub fn settle<R: ControlRuntime>(&mut self, rt: &mut R) {
+    pub fn settle(&mut self, rt: &mut Runtime) {
         for _ in 0..10_000 {
             let worked = self.step(rt);
             let backing_off = self.procs.values().any(|e| e.backoff_until.is_some());

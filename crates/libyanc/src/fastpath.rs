@@ -1,6 +1,6 @@
 //! The flow-programming fastpath and the zero-copy packet-in bus.
 //!
-//! Four data paths, mirroring the paper's libyanc plans (§8.1):
+//! Two data paths, mirroring the paper's libyanc plans (§8.1):
 //!
 //! * [`FlowChannel`] — "creating flow entries atomically and without any
 //!   context switchings": an application hands a whole [`FlowSpec`] (or a
@@ -12,15 +12,6 @@
 //!   reference-counted [`Bytes`]; fan-out to N subscribers clones the
 //!   handle, not the payload, where the file path hex-encodes the frame
 //!   into every subscriber's buffer directory.
-//! * [`StatChannel`] — the read-side twin of `FlowChannel` (E15 extended
-//!   by E25's read-path work): a stats query is one ring push + one ring
-//!   pop instead of the file path's `open` + `read` + `close` per counter.
-//!   The reply's raw rendering rides a shared [`Bytes`], so a driver that
-//!   answers N outstanding queries from one counters snapshot allocates
-//!   that rendering once.
-//! * [`TelemetryBus`] — unsolicited counter samples fanned out to N
-//!   monitoring apps exactly like packet-ins: handle clones, one payload
-//!   allocation regardless of subscriber count.
 //!
 //! Trade-off (measured, not hidden): fastpath flows bypass `/net`, so they
 //! are not introspectable with `ls`/`cat` unless the application also
@@ -235,196 +226,6 @@ impl PacketBus {
     }
 }
 
-/// A stats query travelling the read fastpath: "what is `counter` on
-/// `switch` right now?".
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StatQuery {
-    /// Correlation id, allocated by [`StatChannel::query`]; the reply
-    /// carries it back so an app with several queries in flight can match
-    /// answers to questions.
-    pub id: u64,
-    /// Switch whose counters are being read.
-    pub switch: String,
-    /// Counter name, e.g. `"rx_packets"` — the same name the file path
-    /// exposes as `stats.<counter>`.
-    pub counter: String,
-}
-
-/// A driver's answer to a [`StatQuery`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StatReply {
-    /// Correlation id copied from the query.
-    pub id: u64,
-    /// The counter value.
-    pub value: u64,
-    /// The raw rendering the file path would have returned from a `read`
-    /// on `stats.<counter>` (reference-counted; a driver answering many
-    /// queries from one snapshot shares the allocation).
-    pub raw: Bytes,
-}
-
-/// Request/reply stats channel between one application and a driver.
-///
-/// The read-side twin of [`FlowChannel`]: where the slow path reads a
-/// counter with `open` + `read` + `close` (three simulated syscalls and
-/// at least one shard-lock hop in the vfs), the fastpath is one push to
-/// the query ring and one pop from the reply ring — no file descriptors,
-/// no locks, no context switches.
-#[derive(Clone)]
-pub struct StatChannel {
-    queries: Arc<Ring<StatQuery>>,
-    replies: Arc<Ring<StatReply>>,
-    next_id: Arc<std::sync::atomic::AtomicU64>,
-}
-
-impl StatChannel {
-    /// A channel whose query and reply rings hold `capacity` items each.
-    pub fn new(capacity: usize) -> Self {
-        StatChannel {
-            queries: Ring::new(capacity),
-            replies: Ring::new(capacity),
-            next_id: Arc::new(std::sync::atomic::AtomicU64::new(1)),
-        }
-    }
-
-    /// Queue a stats query; returns the correlation id the reply will
-    /// carry. A full query ring is `ENOSPC` (via [`YancError::Busy`] —
-    /// there is no payload worth returning; re-issue once the driver
-    /// drains), so fast- and slow-path failures still compose in one
-    /// `match` on [`YancError::errno`].
-    pub fn query(&self, switch: &str, counter: &str) -> YancResult<u64> {
-        let id = self
-            .next_id
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.queries
-            .push(StatQuery {
-                id,
-                switch: switch.to_string(),
-                counter: counter.to_string(),
-            })
-            .map_err(|_| YancError::busy(Errno::ENOSPC, "statchannel.queries"))?;
-        Ok(id)
-    }
-
-    /// Driver side: drain pending queries.
-    pub fn drain_queries(&self) -> Vec<StatQuery> {
-        self.queries.drain()
-    }
-
-    /// Driver side: deliver an answer. A full reply ring is `ENOSPC` —
-    /// the application is not draining; the driver drops or retries at
-    /// its own policy (mirroring [`PacketBus`]'s slow-subscriber rule:
-    /// a stalled reader only loses its own data).
-    pub fn reply(&self, reply: StatReply) -> YancResult<()> {
-        self.replies
-            .push(reply)
-            .map_err(|_| YancError::busy(Errno::ENOSPC, "statchannel.replies"))
-    }
-
-    /// Application side: next answer, if one arrived.
-    pub fn poll_reply(&self) -> Option<StatReply> {
-        self.replies.pop()
-    }
-
-    /// Whether queries are pending — poll-set probe for driver wakeup.
-    pub fn ready(&self) -> bool {
-        !self.queries.is_empty()
-    }
-
-    /// Pending (undrained) query count.
-    pub fn pending_queries(&self) -> usize {
-        self.queries.len()
-    }
-
-    /// Lifetime counters of the query and reply rings, merged.
-    pub fn stats(&self) -> RingStats {
-        self.queries.stats().merge(self.replies.stats())
-    }
-}
-
-/// One unsolicited telemetry sample travelling the bus: the raw rendering
-/// is shared, not copied.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TelemetrySample {
-    /// Originating switch.
-    pub switch: String,
-    /// Counter name.
-    pub counter: String,
-    /// The sampled value.
-    pub value: u64,
-    /// Driver-assigned logical tick of the sample (the vfs clock domain,
-    /// never wall time).
-    pub tick: u64,
-    /// Raw rendering of the sample (reference-counted; fan-out clones the
-    /// handle, not the payload).
-    pub raw: Bytes,
-}
-
-/// Zero-copy telemetry fan-out bus: [`PacketBus`] for counter samples.
-///
-/// A driver publishing port statistics to N monitoring applications does
-/// one allocation per sample, not N — where the file path would write the
-/// rendering into every subscriber's tree and wake every watch.
-pub struct TelemetryBus {
-    subscribers: parking_lot::RwLock<Vec<(String, Arc<Ring<TelemetrySample>>)>>,
-    capacity: usize,
-}
-
-impl TelemetryBus {
-    /// A bus whose subscriber rings hold `capacity` samples each.
-    pub fn new(capacity: usize) -> Arc<Self> {
-        Arc::new(TelemetryBus {
-            subscribers: parking_lot::RwLock::new(Vec::new()),
-            capacity,
-        })
-    }
-
-    /// Subscribe under `name`; returns the ring to drain.
-    pub fn subscribe(&self, name: &str) -> Arc<Ring<TelemetrySample>> {
-        let ring = Ring::new(self.capacity);
-        self.subscribers
-            .write()
-            .push((name.to_string(), ring.clone()));
-        ring
-    }
-
-    /// Number of subscribers.
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.read().len()
-    }
-
-    /// Aggregate counters over every subscriber ring.
-    pub fn stats(&self) -> RingStats {
-        self.subscribers
-            .read()
-            .iter()
-            .fold(RingStats::default(), |acc, (_, r)| acc.merge(r.stats()))
-    }
-
-    /// Per-subscriber counters, in subscription order.
-    pub fn subscriber_stats(&self) -> Vec<(String, RingStats)> {
-        self.subscribers
-            .read()
-            .iter()
-            .map(|(n, r)| (n.clone(), r.stats()))
-            .collect()
-    }
-
-    /// Publish to every subscriber. The `raw` [`Bytes`] is cloned by
-    /// reference — one allocation total, regardless of fan-out width.
-    /// Returns how many subscribers accepted it.
-    pub fn publish(&self, sample: &TelemetrySample) -> usize {
-        let subs = self.subscribers.read();
-        let mut delivered = 0;
-        for (_, ring) in subs.iter() {
-            if ring.push(sample.clone()).is_ok() {
-                delivered += 1;
-            }
-        }
-        delivered
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,93 +310,6 @@ mod tests {
         // Same allocation: Bytes clones point at shared storage.
         assert_eq!(a.data.as_ptr(), payload.as_ptr());
         assert_eq!(b.data.as_ptr(), payload.as_ptr());
-    }
-
-    #[test]
-    fn stat_channel_roundtrip_shares_the_raw_rendering() {
-        let ch = StatChannel::new(8);
-        let id_rx = ch.query("sw1", "rx_packets").unwrap();
-        let id_tx = ch.query("sw1", "tx_packets").unwrap();
-        assert_ne!(id_rx, id_tx); // correlation ids are distinct
-        assert!(ch.ready());
-
-        // Driver: one snapshot rendering shared across both replies.
-        let queries = ch.drain_queries();
-        assert_eq!(queries.len(), 2);
-        assert_eq!(queries[0].counter, "rx_packets");
-        let raw = Bytes::from_static(b"rx=7 tx=9\n");
-        for q in &queries {
-            ch.reply(StatReply {
-                id: q.id,
-                value: if q.counter == "rx_packets" { 7 } else { 9 },
-                raw: raw.clone(),
-            })
-            .unwrap();
-        }
-
-        // App: answers correlate by id and point at the shared storage.
-        let a = ch.poll_reply().unwrap();
-        let b = ch.poll_reply().unwrap();
-        assert_eq!((a.id, a.value), (id_rx, 7));
-        assert_eq!((b.id, b.value), (id_tx, 9));
-        assert_eq!(a.raw.as_ptr(), raw.as_ptr());
-        assert_eq!(b.raw.as_ptr(), raw.as_ptr());
-        assert!(ch.poll_reply().is_none());
-    }
-
-    #[test]
-    fn stat_channel_full_rings_are_enospc_busy() {
-        let ch = StatChannel::new(1);
-        ch.query("sw1", "a").unwrap();
-        let err = ch.query("sw1", "b").unwrap_err();
-        assert_eq!(err.errno(), Some(Errno::ENOSPC));
-        assert!(matches!(err, YancError::Busy { .. }));
-        // Reply ring full: the driver-side push fails the same way.
-        let raw = Bytes::from_static(b"0\n");
-        ch.reply(StatReply {
-            id: 1,
-            value: 0,
-            raw: raw.clone(),
-        })
-        .unwrap();
-        let err = ch.reply(StatReply {
-            id: 2,
-            value: 0,
-            raw,
-        });
-        assert_eq!(err.unwrap_err().errno(), Some(Errno::ENOSPC));
-        assert_eq!(ch.stats().dropped, 2);
-    }
-
-    #[test]
-    fn telemetry_bus_fans_out_without_copying() {
-        let bus = TelemetryBus::new(4);
-        let r1 = bus.subscribe("monitor");
-        let r2 = bus.subscribe("billing");
-        let raw = Bytes::from(vec![b'9'; 512]);
-        let sample = TelemetrySample {
-            switch: "sw1".into(),
-            counter: "rx_bytes".into(),
-            value: 512,
-            tick: 41,
-            raw: raw.clone(),
-        };
-        assert_eq!(bus.publish(&sample), 2);
-        let a = r1.pop().unwrap();
-        let b = r2.pop().unwrap();
-        assert_eq!(a.raw.as_ptr(), raw.as_ptr());
-        assert_eq!(b.raw.as_ptr(), raw.as_ptr());
-        assert_eq!(a.tick, 41);
-        // A stalled subscriber only loses its own samples.
-        for _ in 0..4 {
-            bus.publish(&sample);
-        }
-        assert_eq!(bus.publish(&sample), 0); // both full now
-        r1.drain();
-        assert_eq!(bus.publish(&sample), 1);
-        let per = bus.subscriber_stats();
-        assert_eq!(per[0].0, "monitor");
-        assert!(per[1].1.dropped > per[0].1.dropped);
     }
 
     #[test]

@@ -7,13 +7,10 @@
 //! calls atop a shared memory system."
 //!
 //! This crate is that library: a [`FlowChannel`] for programming flows
-//! through one ring push instead of per-field file writes, a
-//! [`PacketBus`] for zero-copy fan-out of packet-in buffers, and — the
-//! read side of the same argument (E15, E25) — a [`StatChannel`] for
-//! request/reply counter queries and a [`TelemetryBus`] for zero-copy
-//! fan-out of unsolicited samples. Drivers accept a `FlowChannel`
-//! alongside their file-system watch, so the fast and slow paths coexist
-//! — which is what benchmark E14 measures.
+//! through one ring push instead of per-field file writes, and a
+//! [`PacketBus`] for zero-copy fan-out of packet-in buffers. Drivers
+//! accept a `FlowChannel` alongside their file-system watch, so the fast
+//! and slow paths coexist — which is what benchmark E14 measures.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -21,6 +18,5 @@
 pub mod fastpath;
 pub mod ring;
 
-pub use fastpath::{FastPacketIn, FlowChannel, FlowOp, PacketBus, StatChannel, StatQuery};
-pub use fastpath::{StatReply, TelemetryBus, TelemetrySample};
+pub use fastpath::{FastPacketIn, FlowChannel, FlowOp, PacketBus};
 pub use ring::{Ring, RingStats};

@@ -20,11 +20,6 @@ const EXPECTED_REEXPORTS: &[&str] = &[
     "PacketBus",
     "Ring",
     "RingStats",
-    "StatChannel",
-    "StatQuery",
-    "StatReply",
-    "TelemetryBus",
-    "TelemetrySample",
 ];
 
 /// Every public method signature (name + first line, normalized) on the
@@ -59,15 +54,6 @@ const EXPECTED_FNS: &[&str] = &[
     "pub fn stats(&self) -> RingStats",
     "pub fn subscriber_stats(&self) -> Vec<(String, RingStats)>",
     "pub fn publish(&self, pkt: &FastPacketIn) -> usize",
-    // StatChannel (read fastpath, E15/E25)
-    "pub fn query(&self, switch: &str, counter: &str) -> YancResult<u64>",
-    "pub fn drain_queries(&self) -> Vec<StatQuery>",
-    "pub fn reply(&self, reply: StatReply) -> YancResult<()>",
-    "pub fn poll_reply(&self) -> Option<StatReply>",
-    "pub fn pending_queries(&self) -> usize",
-    // TelemetryBus (read fastpath, E15/E25)
-    "pub fn subscribe(&self, name: &str) -> Arc<Ring<TelemetrySample>>",
-    "pub fn publish(&self, sample: &TelemetrySample) -> usize",
 ];
 
 /// `pub use x::{A, B};` lines in lib.rs, flattened to names.

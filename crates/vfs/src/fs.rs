@@ -222,11 +222,9 @@ impl Default for Filesystem {
 }
 
 /// Construction-time configuration for a [`Filesystem`], built with
-/// [`Filesystem::builder`]. Every feature switch the old constructor
-/// matrix (`with_shards`/`with_config`/`with_options`/`with_features`/
-/// `without_dcache`/`without_readpath`) spelled as a positional argument
-/// is a named setter here, so the next feature flag extends this struct
-/// instead of adding a seventh constructor. Defaults match
+/// [`Filesystem::builder`]. Every feature switch is a named setter here,
+/// so the next feature flag extends this struct instead of adding a
+/// constructor. Defaults match
 /// [`Filesystem::new`]: default limits, [`DEFAULT_SHARDS`] lock shards,
 /// dentry cache on, optimistic read path on, journal off.
 #[derive(Debug, Clone)]
@@ -350,66 +348,6 @@ impl Filesystem {
     /// Start configuring a filesystem; see [`FsBuilder`].
     pub fn builder() -> FsBuilder {
         FsBuilder::default()
-    }
-
-    /// An empty filesystem with explicit resource limits.
-    #[deprecated(note = "use Filesystem::builder().limits(..).build()")]
-    pub fn with_limits(limits: Limits) -> Self {
-        Self::builder().limits(limits).build()
-    }
-
-    /// An empty filesystem with an explicit lock-shard count. `1` gives the
-    /// fully serialized (global-lock) deterministic mode.
-    #[deprecated(note = "use Filesystem::builder().shards(..).build()")]
-    pub fn with_shards(shards: usize) -> Self {
-        Self::builder().shards(shards).build()
-    }
-
-    /// An empty filesystem with explicit limits and lock-shard count.
-    #[deprecated(note = "use Filesystem::builder().limits(..).shards(..).build()")]
-    pub fn with_config(limits: Limits, shards: usize) -> Self {
-        Self::builder().limits(limits).shards(shards).build()
-    }
-
-    /// An empty filesystem with the dentry cache switched off.
-    #[deprecated(note = "use Filesystem::builder().dcache(false).build()")]
-    pub fn without_dcache() -> Self {
-        Self::builder().dcache(false).build()
-    }
-
-    /// An empty filesystem with the optimistic lock-free read path switched
-    /// off.
-    #[deprecated(note = "use Filesystem::builder().readpath(false).build()")]
-    pub fn without_readpath() -> Self {
-        Self::builder().readpath(false).build()
-    }
-
-    /// An empty filesystem with explicit limits, lock-shard count and
-    /// dentry-cache enablement (the optimistic read path stays on).
-    #[deprecated(note = "use Filesystem::builder().dcache(..).build()")]
-    pub fn with_options(limits: Limits, shards: usize, dcache_enabled: bool) -> Self {
-        Self::builder()
-            .limits(limits)
-            .shards(shards)
-            .dcache(dcache_enabled)
-            .build()
-    }
-
-    /// An empty filesystem with every feature switch explicit: resource
-    /// limits, lock-shard count, dentry cache, optimistic read path.
-    #[deprecated(note = "use Filesystem::builder() with named setters")]
-    pub fn with_features(
-        limits: Limits,
-        shards: usize,
-        dcache_enabled: bool,
-        readpath_enabled: bool,
-    ) -> Self {
-        Self::builder()
-            .limits(limits)
-            .shards(shards)
-            .dcache(dcache_enabled)
-            .readpath(readpath_enabled)
-            .build()
     }
 
     /// Dentry-cache counters (hits/misses/negative hits/invalidations/

@@ -1,11 +1,10 @@
 //! Pins the `Filesystem` construction surface so future feature flags
-//! extend [`FsBuilder`] instead of adding a seventh constructor.
+//! extend [`FsBuilder`] instead of adding a constructor.
 //!
 //! Same `cargo public-api`-style technique as `libyanc/tests/api_surface.rs`:
 //! the crate source is parsed textually for the builder's `pub fn` lines and
-//! compared against an explicit allowlist, and every legacy constructor is
-//! checked to carry `#[deprecated]`. Behavioural half: each builder switch
-//! must actually reach the built filesystem.
+//! compared against an explicit allowlist. Behavioural half: each builder
+//! switch must actually reach the built filesystem.
 
 use std::collections::BTreeSet;
 
@@ -22,17 +21,6 @@ const EXPECTED_BUILDER_FNS: &[&str] = &[
     "pub fn readpath(mut self, enabled: bool) -> Self",
     "pub fn journal(mut self, enabled: bool) -> Self",
     "pub fn build(self) -> Filesystem",
-];
-
-/// Every constructor the builder replaced. Each must still compile (one-line
-/// shim) and each must be marked `#[deprecated]`.
-const DEPRECATED_CONSTRUCTORS: &[&str] = &[
-    "pub fn with_limits(limits: Limits) -> Self",
-    "pub fn with_shards(shards: usize) -> Self",
-    "pub fn with_config(limits: Limits, shards: usize) -> Self",
-    "pub fn without_dcache() -> Self",
-    "pub fn without_readpath() -> Self",
-    "pub fn with_options(limits: Limits, shards: usize, dcache_enabled: bool) -> Self",
 ];
 
 /// The `pub fn` first-lines inside `impl FsBuilder { .. }`, normalized.
@@ -59,34 +47,6 @@ fn builder_surface_is_pinned() {
     assert!(
         missing.is_empty() && extra.is_empty(),
         "FsBuilder surface drifted.\nmissing (pinned but absent): {missing:#?}\nextra (present but unpinned): {extra:#?}"
-    );
-}
-
-#[test]
-fn legacy_constructors_are_deprecated_shims() {
-    // Walk the file line by line; each legacy constructor must appear and
-    // the nearest preceding attribute block must contain #[deprecated].
-    let lines: Vec<&str> = FS_SRC.lines().collect();
-    for ctor in DEPRECATED_CONSTRUCTORS {
-        let idx = lines
-            .iter()
-            .position(|l| l.trim().trim_end_matches('{').trim() == *ctor)
-            .unwrap_or_else(|| panic!("legacy constructor vanished: {ctor}"));
-        let deprecated = lines[idx.saturating_sub(4)..idx]
-            .iter()
-            .any(|l| l.trim().starts_with("#[deprecated"));
-        assert!(deprecated, "{ctor} is not marked #[deprecated]");
-    }
-    // with_features has a multi-line signature; check by name.
-    let idx = lines
-        .iter()
-        .position(|l| l.trim() == "pub fn with_features(")
-        .expect("with_features vanished");
-    assert!(
-        lines[idx.saturating_sub(4)..idx]
-            .iter()
-            .any(|l| l.trim().starts_with("#[deprecated")),
-        "with_features is not marked #[deprecated]"
     );
 }
 

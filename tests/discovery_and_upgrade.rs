@@ -131,7 +131,7 @@ fn e6_live_upgrade_under_traffic() {
         );
     }
     // All switches upgraded; all drivers are 1.3; router state survived.
-    assert!(rt.drivers.iter().all(|d| d.version == Version::V1_3));
+    assert!(rt.drivers.iter().all(|d| d.lock().version == Version::V1_3));
 }
 
 #[test]

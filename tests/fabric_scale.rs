@@ -14,7 +14,7 @@
 
 use yanc::FlowSpec;
 use yanc_dataplane::{FabricTier, FatTree};
-use yanc_driver::{ControlRuntime, ParRuntime, Runtime};
+use yanc_driver::Runtime;
 use yanc_harness::build_fabric;
 use yanc_openflow::{port_no, Action, FlowMatch, Version};
 use yanc_vfs::OpKind;
@@ -122,27 +122,28 @@ fn bulk_install_costs_two_syscalls_per_flow() {
 }
 
 // ---------------------------------------------------------------------
-// Multi-core pump: paired serial-vs-parallel replay (§5 scheduler).
+// Multi-core pump: workers=1 vs workers=N replay (§5 scheduler).
 //
-// The same seeded workload is replayed on the serial Runtime and on
-// ParRuntime at several worker counts; everything observable must be
-// bit-identical — sweep counts, scheduler ledger, per-op syscall
-// totals, and the `/net` tree digest. The ready set is frozen by the
-// coordinator's scan each sweep and drivers own disjoint per-switch
-// subtrees, so worker count may only change *which thread* runs a
-// driver, never what runs or what it writes.
+// The same seeded workload is replayed at several worker counts. One
+// worker (inline index-order dispatch, no threads) must reproduce the
+// recorded serial trace bit for bit — sweep counts, scheduler ledger,
+// per-op syscall totals and both `/net` digests; N workers must match
+// it in everything but the exact-schedule digest. The ready set is
+// frozen by the coordinator's scan each sweep and drivers own disjoint
+// per-switch subtrees, so worker count may only change *which thread*
+// runs a driver, never what runs or what it writes.
 // ---------------------------------------------------------------------
 
 /// The replay workload: bring up a k=4 fabric, packet-in storm from
 /// every host, bulk flow installs through the fs, a stats poll, and a
 /// final guaranteed-idle pump. Returns per-phase sweep counts.
-fn replay_workload<R: ControlRuntime>(rt: &mut R) -> Vec<u32> {
+fn replay_workload(rt: &mut Runtime) -> Vec<u32> {
     let mut sweeps = Vec::new();
     let topo = build_fabric(rt, 4, Version::V1_3);
     let hosts = topo.hosts.clone();
     for (i, &(h, _)) in hosts.iter().enumerate() {
         let (_, dst) = hosts[(i + 1) % hosts.len()];
-        rt.network().host_ping(h, dst, (i + 1) as u16);
+        rt.net.host_ping(h, dst, (i + 1) as u16);
     }
     sweeps.push(rt.pump().unwrap());
     // Targeted (non-flooding) flows: a fat tree has loops, so fabric-wide
@@ -158,12 +159,12 @@ fn replay_workload<R: ControlRuntime>(rt: &mut R) -> Vec<u32> {
             priority: 50,
             ..Default::default()
         };
-        rt.yfs().write_flow(&sw, "steer", &spec).unwrap();
+        rt.yfs.write_flow(&sw, "steer", &spec).unwrap();
     }
     sweeps.push(rt.pump().unwrap());
     for (i, &(h, _)) in hosts.iter().enumerate() {
         let (_, dst) = hosts[(i + 3) % hosts.len()];
-        rt.network().host_ping(h, dst, (100 + i) as u16);
+        rt.net.host_ping(h, dst, (100 + i) as u16);
     }
     sweeps.push(rt.pump().unwrap());
     sweeps.push(rt.poll_stats().unwrap());
@@ -200,10 +201,11 @@ impl ReplayTrace {
     }
 }
 
-fn trace<R: ControlRuntime>(rt: &mut R, sched: &yanc_driver::SchedStats) -> ReplayTrace {
+fn trace(rt: &mut Runtime) -> ReplayTrace {
     use std::sync::atomic::Ordering;
+    let sched = rt.sched_stats();
     let sweeps = replay_workload(rt);
-    let snap = rt.yfs().filesystem().counters().snapshot();
+    let snap = rt.yfs.filesystem().counters().snapshot();
     ReplayTrace {
         sweeps,
         runs: sched.runs.load(Ordering::Relaxed),
@@ -214,34 +216,65 @@ fn trace<R: ControlRuntime>(rt: &mut R, sched: &yanc_driver::SchedStats) -> Repl
             .iter()
             .map(|op| (op.name(), snap.get(*op)))
             .collect(),
-        content: rt.yfs().filesystem().content_digest(),
-        schedule: rt.yfs().filesystem().tree_digest(),
+        content: rt.yfs.filesystem().content_digest(),
+        schedule: rt.yfs.filesystem().tree_digest(),
+    }
+}
+
+/// The trace of the serial pump (one thread walking the driver vector in
+/// index order), recorded from `driver::Runtime` at the last commit that
+/// still had a separate serial runtime. Both digests are FNV-1a over the
+/// tree, so the values are machine-independent.
+fn recorded_serial_trace() -> ReplayTrace {
+    ReplayTrace {
+        sweeps: vec![1, 2, 1, 1, 0],
+        runs: 136,
+        skips: 24,
+        idle_pumps: 1,
+        rebuilds: 1,
+        per_op: vec![
+            ("stat", 224),
+            ("open", 440),
+            ("close", 440),
+            ("read", 200),
+            ("write", 240),
+            ("mkdir", 289),
+            ("rmdir", 0),
+            ("unlink", 0),
+            ("rename", 0),
+            ("symlink", 0),
+            ("readlink", 0),
+            ("link", 0),
+            ("readdir", 112),
+            ("setattr", 0),
+            ("xattr", 0),
+            ("truncate", 0),
+            ("openat", 0),
+            ("fstat", 0),
+            ("fsync", 0),
+            ("poll", 0),
+        ],
+        content: 7208839857400366974,
+        schedule: 759731384130534225,
     }
 }
 
 #[test]
 fn parallel_one_worker_replays_exact_serial_schedule() {
-    let mut serial = Runtime::new();
-    let serial_sched = serial.sched_stats();
-    let a = trace(&mut serial, &serial_sched);
-
-    let mut par = ParRuntime::with_workers(1);
-    let par_sched = par.sched_stats();
-    let b = trace(&mut par, &par_sched);
-
-    assert_eq!(a, b, "with_workers(1) must replay the serial schedule");
+    assert_eq!(
+        trace(&mut Runtime::with_workers(1)),
+        recorded_serial_trace(),
+        "with_workers(1) must replay the recorded serial schedule"
+    );
 }
 
 #[test]
 fn worker_count_is_invisible_to_syscalls_and_digest() {
-    let mut one = ParRuntime::with_workers(1);
-    let one_sched = one.sched_stats();
-    let a = trace(&mut one, &one_sched);
+    let a = trace(&mut Runtime::with_workers(1));
 
     for workers in [2, 4, 8] {
-        let mut many = ParRuntime::with_workers(workers);
-        let many_sched = many.sched_stats();
-        let b = trace(&mut many, &many_sched);
+        let mut many = Runtime::with_workers(workers);
+        let b = trace(&mut many);
         assert_eq!(
             a.schedule_free(),
             b.schedule_free(),
@@ -261,10 +294,9 @@ fn worker_count_is_invisible_to_syscalls_and_digest() {
 #[test]
 fn fanin_batches_are_identical_across_worker_counts() {
     let run = |workers: usize| -> (ReplayTrace, u64, u64) {
-        let mut rt = ParRuntime::with_workers(workers);
-        let fanin = rt.enable_fanin(0);
-        let sched = rt.sched_stats();
-        let t = trace(&mut rt, &sched);
+        let mut rt = Runtime::with_workers(workers);
+        let fanin = rt.enable_fanin();
+        let t = trace(&mut rt);
         (t, fanin.flushes(), fanin.replies())
     };
     let (a, flushes_a, replies_a) = run(1);
@@ -293,7 +325,7 @@ fn fanin_batches_are_identical_across_worker_counts() {
 fn driver_attached_mid_pump_is_scanned_same_pump() {
     use std::sync::atomic::Ordering;
     for workers in [1, 2] {
-        let mut rt = ParRuntime::with_workers(workers);
+        let mut rt = Runtime::with_workers(workers);
         rt.add_switch_with_driver(0x1, 4, 1, vec![Version::V1_3], Version::V1_3);
         rt.pump().unwrap();
         let sched = rt.sched_stats();
@@ -301,7 +333,7 @@ fn driver_attached_mid_pump_is_scanned_same_pump() {
 
         // Queue work so the pump sweeps at least twice, and stage an
         // attach for sweep 1 — it lands *inside* the running pump.
-        rt.yfs().write_flow("sw1", "flood", &flood()).unwrap();
+        rt.yfs.write_flow("sw1", "flood", &flood()).unwrap();
         rt.stage_attach_at_sweep(1, 0x99, 4, 1, vec![Version::V1_3], Version::V1_3);
         let sweeps = rt.pump().unwrap();
         assert!(sweeps >= 2, "staged attach needs a multi-sweep pump");
@@ -313,7 +345,7 @@ fn driver_attached_mid_pump_is_scanned_same_pump() {
         assert!(d.ready(), "mid-pump driver never ran (workers={workers})");
         drop(d);
         assert!(
-            rt.yfs()
+            rt.yfs
                 .list_switches()
                 .unwrap()
                 .contains(&"sw99".to_string()),
@@ -335,17 +367,16 @@ fn driver_attached_mid_pump_is_scanned_same_pump() {
 #[test]
 fn injected_straggler_forces_steals() {
     use std::sync::atomic::Ordering;
-    let mut rt = ParRuntime::with_workers(4);
+    let mut rt = Runtime::with_workers(4);
     let topo = build_fabric(&mut rt, 4, Version::V1_3);
     rt.inject_straggler(Some(0));
-    let ledger_total = |rt: &ParRuntime,
-                        f: fn(&yanc_driver::WorkerStats) -> &std::sync::atomic::AtomicU64|
-     -> u64 {
-        rt.worker_stats()
-            .iter()
-            .map(|w| f(w).load(Ordering::Relaxed))
-            .sum()
-    };
+    let ledger_total =
+        |rt: &Runtime, f: fn(&yanc_driver::WorkerStats) -> &std::sync::atomic::AtomicU64| -> u64 {
+            rt.worker_stats()
+                .iter()
+                .map(|w| f(w).load(Ordering::Relaxed))
+                .sum()
+        };
     let runs_before = ledger_total(&rt, |w| &w.runs);
     let steals_before = ledger_total(&rt, |w| &w.steals);
     let straggler_runs_before = rt.worker_stats()[0].runs.load(Ordering::Relaxed);

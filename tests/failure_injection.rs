@@ -4,7 +4,7 @@
 //! panics or silent corruption.
 
 use yanc::FlowSpec;
-use yanc_driver::{OpenFlowDriver, Runtime};
+use yanc_driver::Runtime;
 use yanc_openflow::{port_no, Action, FlowMatch, Version};
 use yanc_vfs::{Credentials, Errno, Filesystem, Limits, Mode};
 
@@ -72,11 +72,9 @@ fn controller_crash_and_recovery() {
 
     // New controller: re-handshake; the driver resyncs fs state into the
     // switch (including the flow written during the outage).
-    let handle = rt.net.attach_controller(0x1);
-    rt.drivers
-        .push(OpenFlowDriver::new(Version::V1_0, rt.yfs.clone(), handle));
+    rt.swap_driver(0x1, Version::V1_0);
     rt.pump().unwrap();
-    assert!(rt.drivers[0].ready());
+    assert!(rt.drivers[0].lock().ready());
     assert_eq!(
         rt.net.switches[&0x1].flow_count(),
         2,

@@ -29,7 +29,7 @@ fn e14_fastpath_installs_with_zero_syscalls() {
     rt.add_switch_with_driver(0x1, 4, 1, vec![Version::V1_3], Version::V1_3);
     rt.pump().unwrap();
     let ch = FlowChannel::new(1024);
-    rt.drivers[0].attach_fastpath(ch.clone());
+    rt.drivers[0].lock().attach_fastpath(ch.clone());
 
     let fs = rt.yfs.filesystem().clone();
     let before = fs.counters().snapshot();
@@ -69,7 +69,7 @@ fn e14_fastpath_delete_and_replace() {
     rt.add_switch_with_driver(0x1, 4, 1, vec![Version::V1_3], Version::V1_3);
     rt.pump().unwrap();
     let ch = FlowChannel::new(64);
-    rt.drivers[0].attach_fastpath(ch.clone());
+    rt.drivers[0].lock().attach_fastpath(ch.clone());
     ch.install("sw1", "a", spec(22)).unwrap();
     rt.pump().unwrap();
     assert_eq!(rt.net.switches[&0x1].flow_count(), 1);
@@ -89,7 +89,7 @@ fn e14_batch_install() {
     rt.add_switch_with_driver(0x1, 4, 1, vec![Version::V1_3], Version::V1_3);
     rt.pump().unwrap();
     let ch = FlowChannel::new(4096);
-    rt.drivers[0].attach_fastpath(ch.clone());
+    rt.drivers[0].lock().attach_fastpath(ch.clone());
     let flows: Vec<(String, FlowSpec)> = (0..500u16).map(|i| (format!("b{i}"), spec(i))).collect();
     ch.install_batch("sw1", flows).unwrap();
     rt.pump().unwrap();
@@ -150,7 +150,7 @@ fn e14_fs_commit_supersedes_fastpath_flow_of_same_name() {
     rt.add_switch_with_driver(0x1, 4, 1, vec![Version::V1_3], Version::V1_3);
     rt.pump().unwrap();
     let ch = FlowChannel::new(16);
-    rt.drivers[0].attach_fastpath(ch.clone());
+    rt.drivers[0].lock().attach_fastpath(ch.clone());
     ch.install("sw1", "shared", spec(22)).unwrap();
     rt.pump().unwrap();
     assert_eq!(rt.net.switches[&0x1].flow_count(), 1);
