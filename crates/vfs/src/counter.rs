@@ -142,7 +142,7 @@ static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
 
 /// Lock-free tally of operations, one logical slot per [`OpKind`].
 ///
-/// Writes are striped: each thread is assigned one of [`N_STRIPES`] stripes
+/// Writes are striped: each thread is assigned one of `N_STRIPES` stripes
 /// on its first bump and always increments there, so the hot `bump` path is
 /// an uncontended relaxed `fetch_add`. Reads (`get`/`total`/`snapshot`) sum
 /// across stripes; they are exact with respect to completed bumps, merely

@@ -12,7 +12,7 @@
 //! Correctness rides on a seqlock-style generation scheme instead of eager
 //! invalidation:
 //!
-//! * every inode maps onto one of [`GEN_SLOTS`] striped `AtomicU64`
+//! * every inode maps onto one of `GEN_SLOTS` striped `AtomicU64`
 //!   generation counters (`ino % GEN_SLOTS`),
 //! * a *reader* filling the cache loads the parent's generation **before**
 //!   its live inode-table read and stores that pre-read value in the entry,

@@ -41,7 +41,7 @@
 //! canonical byte-equality check (the cross-fs tree comparison the
 //! linearizability harness uses).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -1371,21 +1371,12 @@ impl Filesystem {
                     parent: Ino(*parent),
                 },
             };
-            set.insert_inode(
-                Ino(n.ino),
-                Inode {
-                    kind,
-                    mode: n.mode,
-                    uid: n.uid,
-                    gid: n.gid,
-                    nlink: n.nlink,
-                    mtime: Timestamp(n.mtime),
-                    ctime: Timestamp(n.ctime),
-                    xattrs: n.xattrs.iter().cloned().collect(),
-                    acl: n.acl.clone(),
-                    open_count: 0,
-                },
-            );
+            let mut node = Inode::new(kind, n.mode, n.uid, n.gid, Timestamp(n.mtime));
+            node.nlink = n.nlink;
+            node.ctime = Timestamp(n.ctime);
+            node.xattrs = n.xattrs.iter().cloned().collect();
+            node.acl = n.acl.clone();
+            set.insert_inode(Ino(n.ino), node);
         }
         drop(set);
         self.tables.ensure_ino_floor(snap.next_ino);
@@ -1431,24 +1422,8 @@ impl Filesystem {
                 if !matches!(p.kind, NodeKind::Dir { .. }) {
                     return false;
                 }
-                set.insert_inode(
-                    *ino,
-                    Inode {
-                        kind: NodeKind::Dir {
-                            entries: BTreeMap::new(),
-                            parent: *parent,
-                        },
-                        mode: *mode,
-                        uid: *uid,
-                        gid: *gid,
-                        nlink: 2,
-                        mtime: *tick,
-                        ctime: *tick,
-                        xattrs: BTreeMap::new(),
-                        acl: None,
-                        open_count: 0,
-                    },
-                );
+                let node = Inode::new(NodeKind::dir(*parent), *mode, *uid, *gid, *tick);
+                set.insert_inode(*ino, node);
                 if let Ok(p) = set.inode_mut(*parent) {
                     if let Ok(e) = p.dir_entries_mut() {
                         e.insert(name.clone(), *ino);
@@ -1474,21 +1449,9 @@ impl Filesystem {
                 if !matches!(p.kind, NodeKind::Dir { .. }) {
                     return false;
                 }
-                set.insert_inode(
-                    *ino,
-                    Inode {
-                        kind: NodeKind::File(data.clone()),
-                        mode: Mode::FILE_DEFAULT,
-                        uid: *uid,
-                        gid: *gid,
-                        nlink: 1,
-                        mtime: *tick,
-                        ctime: *tick,
-                        xattrs: BTreeMap::new(),
-                        acl: None,
-                        open_count: 0,
-                    },
-                );
+                let kind = NodeKind::File(data.clone());
+                let node = Inode::new(kind, Mode::FILE_DEFAULT, *uid, *gid, *tick);
+                set.insert_inode(*ino, node);
                 if let Ok(p) = set.inode_mut(*parent) {
                     if let Ok(e) = p.dir_entries_mut() {
                         e.insert(name.clone(), *ino);
@@ -1513,21 +1476,9 @@ impl Filesystem {
                 if !matches!(p.kind, NodeKind::Dir { .. }) {
                     return false;
                 }
-                set.insert_inode(
-                    *ino,
-                    Inode {
-                        kind: NodeKind::Symlink(target.clone()),
-                        mode: Mode::SYMLINK,
-                        uid: *uid,
-                        gid: *gid,
-                        nlink: 1,
-                        mtime: *tick,
-                        ctime: *tick,
-                        xattrs: BTreeMap::new(),
-                        acl: None,
-                        open_count: 0,
-                    },
-                );
+                let kind = NodeKind::Symlink(target.clone());
+                let node = Inode::new(kind, Mode::SYMLINK, *uid, *gid, *tick);
+                set.insert_inode(*ino, node);
                 if let Ok(p) = set.inode_mut(*parent) {
                     if let Ok(e) = p.dir_entries_mut() {
                         e.insert(name.clone(), *ino);

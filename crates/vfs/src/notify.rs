@@ -94,7 +94,7 @@ pub struct Event {
     pub name: Option<String>,
 }
 
-enum Scope {
+pub(crate) enum Scope {
     /// Matches the path itself and its direct children.
     Path(VPath),
     /// Matches the path itself and all descendants.
@@ -143,7 +143,12 @@ impl NotifyHub {
         }
     }
 
-    fn add(&self, scope: Scope, mask: EventMask, owner: Option<u32>) -> (WatchId, Receiver<Event>) {
+    pub(crate) fn add(
+        &self,
+        scope: Scope,
+        mask: EventMask,
+        owner: Option<u32>,
+    ) -> (WatchId, Receiver<Event>) {
         let (tx, rx) = unbounded();
         let id = WatchId(self.next_id.fetch_add(1, Ordering::Relaxed));
         self.watches.write().push(Watch {

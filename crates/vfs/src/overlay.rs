@@ -18,7 +18,7 @@
 //!   `x`, and commit mutates the real base/upper dirs, bumping their
 //!   generations — stale merged answers are impossible.
 //! * **journal** — copy-up chains and view commits go through
-//!   [`Filesystem::apply_batch`], which journals the whole plan as one
+//!   `Filesystem::apply_batch`, which journals the whole plan as one
 //!   `Commit` frame. A crash replays a copy-up or a view commit
 //!   fully-applied or fully-absent, never half.
 //! * **rctl** — every batched step is charged to the *writer's* uid before

@@ -6,7 +6,7 @@
 //! to be observed (stat/open/readdir). Like Linux `debugfs`, the tree is
 //! out-of-band with respect to accounting:
 //!
-//! * operations on proc paths are **not** tallied in [`SyscallCounters`] or
+//! * operations on proc paths are **not** tallied in [`crate::SyscallCounters`] or
 //!   the [`crate::metrics::MetricsRegistry`] — so `cat
 //!   /net/.proc/vfs/syscalls/total` returns exactly the value the counters
 //!   held, undisturbed by the `cat` itself,

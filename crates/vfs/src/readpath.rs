@@ -190,7 +190,7 @@ pub struct ReadPathStats {
     /// Handle blocks published at open.
     pub handle_publishes: u64,
     /// Shard-lock acquisitions on the inode/handle tables (read + write),
-    /// from [`crate::shard::Tables::lock_acquisition_count`]. The E25 law:
+    /// as returned by [`crate::Filesystem::lock_acquisitions`]. The E25 law:
     /// a warm stat moves `optimistic_hits` and leaves this unchanged.
     pub lock_acquisitions: u64,
 }

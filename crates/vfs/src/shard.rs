@@ -61,6 +61,16 @@ pub(crate) enum NodeKind {
     Symlink(String),
 }
 
+impl NodeKind {
+    /// An empty directory whose `..` is `parent`.
+    pub fn dir(parent: Ino) -> NodeKind {
+        NodeKind::Dir {
+            entries: BTreeMap::new(),
+            parent,
+        }
+    }
+}
+
 #[derive(Debug)]
 pub(crate) struct Inode {
     pub kind: NodeKind,
@@ -76,6 +86,28 @@ pub(crate) struct Inode {
 }
 
 impl Inode {
+    /// A freshly created object: link count by kind (a directory starts at
+    /// 2 — its parent's entry plus its own `.`), no xattrs, no ACL, not
+    /// open. The one place an inode is built.
+    pub fn new(kind: NodeKind, mode: Mode, uid: Uid, gid: Gid, now: Timestamp) -> Inode {
+        Inode {
+            nlink: if matches!(kind, NodeKind::Dir { .. }) {
+                2
+            } else {
+                1
+            },
+            kind,
+            mode,
+            uid,
+            gid,
+            mtime: now,
+            ctime: now,
+            xattrs: BTreeMap::new(),
+            acl: None,
+            open_count: 0,
+        }
+    }
+
     pub fn file_type(&self) -> FileType {
         match self.kind {
             NodeKind::File(_) => FileType::Regular,
@@ -515,18 +547,13 @@ mod tests {
     use super::*;
 
     fn inode() -> Inode {
-        Inode {
-            kind: NodeKind::File(Vec::new()),
-            mode: Mode::FILE_DEFAULT,
-            uid: Uid(0),
-            gid: Gid(0),
-            nlink: 1,
-            mtime: Timestamp(0),
-            ctime: Timestamp(0),
-            xattrs: BTreeMap::new(),
-            acl: None,
-            open_count: 0,
-        }
+        Inode::new(
+            NodeKind::File(Vec::new()),
+            Mode::FILE_DEFAULT,
+            Uid(0),
+            Gid(0),
+            Timestamp(0),
+        )
     }
 
     #[test]

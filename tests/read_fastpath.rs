@@ -82,9 +82,10 @@ fn warm_read_ops_have_pinned_lock_budgets() {
     // measures a second run. `stat`/`fstat` drop to zero; `pread` keeps
     // exactly the one lock that copies file bytes; `readdir` keeps
     // exactly the one lock that snapshots the entry list (per-entry
-    // kinds come from the attribute blocks).
+    // kinds come from the attribute blocks) — by descriptor or by path,
+    // whose warm dcache walk adds none.
     type WarmCase<'a> = (&'a str, Box<dyn Fn() + 'a>, u64);
-    let cases: [WarmCase; 4] = [
+    let cases: [WarmCase; 5] = [
         (
             "stat",
             Box::new(|| assert_eq!(fs.stat("/b/d/f", &root()).unwrap().size, 10)),
@@ -103,6 +104,11 @@ fn warm_read_ops_have_pinned_lock_budgets() {
         (
             "readdir_fd",
             Box::new(|| assert_eq!(fs.readdir_fd(dir).unwrap().len(), 2)),
+            1,
+        ),
+        (
+            "readdir",
+            Box::new(|| assert_eq!(fs.readdir("/b/d", &root()).unwrap().len(), 2)),
             1,
         ),
     ];
