@@ -42,5 +42,5 @@ pub use middlebox::{ConnState, MiddleboxInstance};
 pub use protocols::{host_registry, register_host, ArpResponder, DhcpDaemon};
 pub use router::RouterDaemon;
 pub use slicer::{intersect, BigSwitchDaemon, SliceDaemon, BIG_SWITCH};
-pub use topology::{ingress_ports, shortest_path, TopologyDaemon};
+pub use topology::{ingress_ports, shortest_path, TopologyDaemon, TopologyView};
 pub use whatif::WhatIf;

@@ -7,6 +7,10 @@
 //! bump, and installed by whichever driver manages each switch. The daemon
 //! learns host locations from packets arriving on edge ports (ports with
 //! no `peer` symlink).
+//!
+//! Which ports have a `peer`, and the shortest path between two switches,
+//! come from a [`TopologyView`]: the daemon's work per packet-in follows
+//! the length of the path, not the size of the fabric.
 
 use std::collections::HashMap;
 
@@ -14,12 +18,14 @@ use yanc::{EventSubscription, FlowSpec, PacketInRecord, YancFs};
 use yanc_openflow::{port_no, Action, FlowMatch};
 use yanc_packet::{EtherType, MacAddr, PacketSummary};
 
-use crate::topology::{ingress_ports, shortest_path};
+use crate::topology::TopologyView;
 
 /// The reactive router.
 pub struct RouterDaemon {
     yfs: YancFs,
     sub: EventSubscription,
+    /// The fabric's links, as last scanned.
+    pub topology: TopologyView,
     /// Learned MAC locations: `(switch, port)`.
     locations: HashMap<MacAddr, (String, u16)>,
     /// Idle timeout for installed paths (seconds; 0 = permanent).
@@ -35,9 +41,11 @@ impl RouterDaemon {
     /// Subscribe as `router`.
     pub fn new(yfs: YancFs) -> yanc::YancResult<Self> {
         let sub = yfs.subscribe_events("router")?;
+        let topology = TopologyView::new(yfs.clone())?;
         Ok(RouterDaemon {
             yfs,
             sub,
+            topology,
             locations: HashMap::new(),
             idle_timeout: 60,
             paths_installed: 0,
@@ -71,7 +79,7 @@ impl RouterDaemon {
         }
         // Learn the source if it entered on an edge port, and record it in
         // the hosts/ directory (Figure 2) for other applications to read.
-        let is_edge = matches!(self.yfs.peer(&rec.switch, rec.in_port), Ok(None));
+        let is_edge = matches!(self.topology.has_peer(&rec.switch, rec.in_port), Ok(false));
         if is_edge && !summary.dl_src.is_multicast() {
             let loc = (rec.switch.clone(), rec.in_port);
             if self.locations.insert(summary.dl_src, loc.clone()) != Some(loc.clone()) {
@@ -118,6 +126,10 @@ impl RouterDaemon {
     /// inter-switch links. Unlike a naive FLOOD action this cannot storm a
     /// looped fabric (e.g. a fat tree), which is how production
     /// controllers handle broadcasts too.
+    ///
+    /// Switches and ports are listed live, so a hot-plugged port is
+    /// flooded to at once; each switch gets one `packet_out` line naming
+    /// all its edge ports.
     fn flood(&mut self, rec: &PacketInRecord) {
         self.floods += 1;
         let switches = match self.yfs.list_switches() {
@@ -129,43 +141,29 @@ impl RouterDaemon {
                 Ok(p) => p,
                 Err(_) => continue,
             };
-            for port in ports {
-                if sw == rec.switch && port == rec.in_port {
-                    continue; // never back out the ingress
-                }
-                if matches!(self.yfs.peer(&sw, port), Ok(None)) {
-                    self.emit_data(&sw, rec, port);
-                }
+            let outs: Vec<String> = ports
+                .into_iter()
+                // never back out the ingress
+                .filter(|&port| !(sw == rec.switch && port == rec.in_port))
+                .filter(|&port| matches!(self.topology.has_peer(&sw, port), Ok(false)))
+                .map(|port| port.to_string())
+                .collect();
+            if !outs.is_empty() {
+                // Data form: buffer ids are only valid on the originating
+                // switch.
+                self.packet_out(&sw, None, port_no::NONE, &outs.join(","), &rec.data);
             }
         }
     }
 
-    /// Packet-out `rec`'s frame bytes on a specific switch/port (data
-    /// form; buffer ids are only valid on the originating switch).
-    fn emit_data(&self, sw: &str, rec: &PacketInRecord, out: u16) {
-        let line = format!(
-            "buffer=none in_port={} out={} data={}\n",
-            port_no::NONE,
-            out,
-            yanc::hex_encode(&rec.data)
-        );
-        let path = self.yfs.switch_dir(sw).join("packet_out");
-        let _ = self
-            .yfs
-            .filesystem()
-            .append_file(path.as_str(), line.as_bytes(), self.yfs.creds());
-    }
-
-    fn packet_out(&self, sw: &str, rec: &PacketInRecord, out: u16) {
-        let line = match rec.buffer_id {
-            Some(id) => {
-                format!("buffer={id} in_port={} out={}\n", rec.in_port, out)
-            }
+    /// Append one `packet_out` command: send `buffer`, or the frame `data`
+    /// when there is none, out of the comma-separated ports `out`.
+    fn packet_out(&self, sw: &str, buffer: Option<u32>, in_port: u16, out: &str, data: &[u8]) {
+        let line = match buffer {
+            Some(id) => format!("buffer={id} in_port={in_port} out={out}\n"),
             None => format!(
-                "buffer=none in_port={} out={} data={}\n",
-                rec.in_port,
-                out,
-                yanc::hex_encode(&rec.data)
+                "buffer=none in_port={in_port} out={out} data={}\n",
+                yanc::hex_encode(data)
             ),
         };
         let path = self.yfs.switch_dir(sw).join("packet_out");
@@ -184,23 +182,14 @@ impl RouterDaemon {
         dst_sw: &str,
         dst_port: u16,
     ) -> Option<()> {
-        let hops = shortest_path(&self.yfs, &rec.switch, dst_sw).ok()??;
-        let ingresses = ingress_ports(&self.yfs, &hops).ok()?;
-        if ingresses.len() != hops.len() {
-            return None; // topology changed between the two reads
-        }
-        // Egress ports per switch along the path, ending at the host port.
-        // hops[i] = (switch_i, egress_i); switch_{i+1} ingress = ingresses[i].
-        let mut plan: Vec<(String, u16, u16)> = Vec::new(); // (sw, in, out)
-        let mut in_port = rec.in_port;
-        for (i, (sw, egress)) in hops.iter().enumerate() {
-            plan.push((sw.clone(), in_port, *egress));
-            in_port = ingresses[i].1;
-        }
-        plan.push((dst_sw.to_string(), in_port, dst_port));
+        let plan = self
+            .topology
+            .plan((&rec.switch, rec.in_port), (dst_sw, dst_port))
+            .ok()??;
 
         self.seq += 1;
         let first_out = plan[0].2;
+        let fs = self.yfs.filesystem();
         for (sw, inp, outp) in plan {
             let m = FlowMatch {
                 in_port: Some(inp),
@@ -214,14 +203,23 @@ impl RouterDaemon {
                 cookie: self.seq,
                 ..Default::default()
             };
+            // `rt<seq>_<sw>` is a fresh name every time — the case the
+            // descriptor-relative write is exact for.
             let name = format!("rt{}_{}", self.seq, sw);
-            if self.yfs.write_flow(&sw, &name, &spec).is_err() {
-                return None;
-            }
+            let flows = self.yfs.open_flows_dir(&sw).ok()?;
+            let written = self.yfs.write_flow_at(flows, &name, &spec);
+            let _ = fs.close(flows, self.yfs.creds());
+            written.ok()?;
         }
         self.paths_installed += 1;
         // Release the buffered packet along the installed path.
-        self.packet_out(&rec.switch, rec, first_out);
+        self.packet_out(
+            &rec.switch,
+            rec.buffer_id,
+            rec.in_port,
+            &first_out.to_string(),
+            &rec.data,
+        );
         Some(())
     }
 }
@@ -236,9 +234,11 @@ impl yanc::YancApp for RouterDaemon {
     }
 
     /// `SIGHUP`: drop learned host locations so stale placements (hosts
-    /// that moved while we were not looking) cannot pin wrong paths.
+    /// that moved while we were not looking) cannot pin wrong paths, and
+    /// the topology view with them.
     fn reload(&mut self) -> yanc::YancResult<()> {
         self.locations.clear();
+        self.topology.invalidate();
         Ok(())
     }
 }

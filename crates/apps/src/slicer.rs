@@ -23,7 +23,7 @@ use yanc::{FlowSpec, SchemaPos, ViewConfig, YancFs};
 use yanc_openflow::{Action, FlowMatch, Ipv4Prefix};
 use yanc_vfs::{Event, EventKind, EventMask, WatchGuard};
 
-use crate::topology::{ingress_ports, shortest_path};
+use crate::topology::TopologyView;
 
 /// Intersect two matches. `None` when they are disjoint (a flow outside
 /// the slice's header space).
@@ -187,6 +187,8 @@ pub struct BigSwitchDaemon {
     phys: YancFs,
     virt: YancFs,
     view: String,
+    /// The physical fabric's links.
+    topology: TopologyView,
     /// Virtual port v (1-based index) → physical `(switch, port)`.
     pub port_map: Vec<(String, u16)>,
     watch: WatchGuard,
@@ -209,10 +211,11 @@ impl BigSwitchDaemon {
         let view_root = phys.view_dir(view);
         let virt = YancFs::new(phys.filesystem().clone(), view_root.as_str());
         virt.create_switch(BIG_SWITCH, 0xb16, 0, 0, 0, 1)?;
+        let mut topology = TopologyView::new(phys.clone())?;
         let mut port_map = Vec::new();
         for sw in &cfg.switches {
             for p in phys.list_ports(sw)? {
-                if phys.peer(sw, p)?.is_none() {
+                if !topology.has_peer(sw, p)? {
                     port_map.push((sw.clone(), p));
                 }
             }
@@ -237,6 +240,7 @@ impl BigSwitchDaemon {
             phys,
             virt,
             view: view.to_string(),
+            topology,
             port_map,
             watch,
             seen: std::collections::HashMap::new(),
@@ -313,7 +317,8 @@ impl BigSwitchDaemon {
             write_error(&self.virt, BIG_SWITCH, flow, "unknown virtual port");
             return;
         };
-        let Ok(Some(hops)) = shortest_path(&self.phys, &src_sw, &dst_sw) else {
+        // Per-hop plan: (switch, ingress, egress).
+        let Ok(Some(plan)) = self.topology.plan((&src_sw, src_port), (&dst_sw, dst_port)) else {
             self.rejected += 1;
             write_error(
                 &self.virt,
@@ -323,28 +328,6 @@ impl BigSwitchDaemon {
             );
             return;
         };
-        let Ok(ingresses) = ingress_ports(&self.phys, &hops) else {
-            self.rejected += 1;
-            return;
-        };
-        if ingresses.len() != hops.len() {
-            self.rejected += 1;
-            write_error(
-                &self.virt,
-                BIG_SWITCH,
-                flow,
-                "topology changed during compilation",
-            );
-            return;
-        }
-        // Build the per-hop plan: (switch, ingress, egress).
-        let mut plan: Vec<(String, u16, u16)> = Vec::new();
-        let mut in_port = src_port;
-        for (i, (sw, egress)) in hops.iter().enumerate() {
-            plan.push((sw.clone(), in_port, *egress));
-            in_port = ingresses[i].1;
-        }
-        plan.push((dst_sw, in_port, dst_port));
         for (sw, inp, outp) in plan {
             let m = FlowMatch {
                 in_port: Some(inp),

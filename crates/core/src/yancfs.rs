@@ -498,13 +498,18 @@ impl YancFs {
     // Topology (peer symlinks, paper §3.3 / §4.3)
     // ------------------------------------------------------------------
 
-    /// Point `sw:port`'s `peer` symlink at `peer_sw:peer_port`.
+    /// Point `sw:port`'s `peer` symlink at `peer_sw:peer_port`. A link that
+    /// already points there is left alone — nothing is written and nothing
+    /// notified — so rediscovering a converged fabric (LLDP finds every
+    /// link from both ends, every round) disturbs no watcher.
     pub fn set_peer(&self, sw: &str, port: u16, peer_sw: &str, peer_port: u16) -> YancResult<()> {
         let link = self.port_dir(sw, port).join("peer");
-        if self.fs.lstat(link.as_str(), &self.creds).is_ok() {
-            self.fs.unlink(link.as_str(), &self.creds)?;
-        }
         let target = self.port_dir(peer_sw, peer_port);
+        match self.fs.readlink(link.as_str(), &self.creds) {
+            Ok(current) if current == target.as_str() => return Ok(()),
+            Err(e) if e.errno == Errno::ENOENT => {}
+            _ => self.fs.unlink(link.as_str(), &self.creds)?,
+        }
         Ok(self
             .fs
             .symlink(target.as_str(), link.as_str(), &self.creds)?)

@@ -396,6 +396,7 @@ impl Filesystem {
             path: VPath::new(path),
             subtree: false,
             mask: EventMask::ALL,
+            name: None,
             creds: None,
         }
     }
@@ -472,6 +473,7 @@ pub struct WatchBuilder<'fs> {
     path: VPath,
     subtree: bool,
     mask: EventMask,
+    name: Option<String>,
     creds: Option<Credentials>,
 }
 
@@ -486,6 +488,15 @@ impl WatchBuilder<'_> {
     /// Restrict the event kinds delivered.
     pub fn mask(mut self, mask: EventMask) -> Self {
         self.mask = mask;
+        self
+    }
+
+    /// Deliver only events whose entry name is exactly `name` — with
+    /// [`Self::subtree`], "every `peer` link under `/net/switches`" is one
+    /// watch. Everything else is discarded before it is queued, so the
+    /// watch costs an idle consumer no memory however busy the subtree is.
+    pub fn named(mut self, name: &str) -> Self {
+        self.name = Some(name.to_string());
         self
     }
 
@@ -515,7 +526,7 @@ impl WatchBuilder<'_> {
         } else {
             Scope::Path(self.path)
         };
-        let (id, rx) = self.fs.notify.add(scope, self.mask, owner);
+        let (id, rx) = self.fs.notify.add(scope, self.mask, self.name, owner);
         Ok(WatchGuard {
             hub: self.fs.notify.clone(),
             id,

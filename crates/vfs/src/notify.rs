@@ -105,6 +105,9 @@ struct Watch {
     id: WatchId,
     scope: Scope,
     mask: EventMask,
+    /// Deliver only events whose entry name is exactly this
+    /// ([`crate::WatchBuilder::named`]).
+    name: Option<String>,
     owner: Option<u32>,
     tx: Sender<Event>,
     /// Serializes the quota check with the enqueue for THIS watch: without
@@ -147,6 +150,7 @@ impl NotifyHub {
         &self,
         scope: Scope,
         mask: EventMask,
+        name: Option<String>,
         owner: Option<u32>,
     ) -> (WatchId, Receiver<Event>) {
         let (tx, rx) = unbounded();
@@ -155,6 +159,7 @@ impl NotifyHub {
             id,
             scope,
             mask,
+            name,
             owner,
             tx,
             gate: Mutex::new(()),
@@ -164,12 +169,12 @@ impl NotifyHub {
 
     /// inotify-style: watch `path` and (if a directory) its direct children.
     pub fn watch_path(&self, path: &VPath, mask: EventMask) -> (WatchId, Receiver<Event>) {
-        self.add(Scope::Path(path.clone()), mask, None)
+        self.add(Scope::Path(path.clone()), mask, None, None)
     }
 
     /// fanotify-style: watch the whole subtree rooted at `path`.
     pub fn watch_subtree(&self, path: &VPath, mask: EventMask) -> (WatchId, Receiver<Event>) {
-        self.add(Scope::Subtree(path.clone()), mask, None)
+        self.add(Scope::Subtree(path.clone()), mask, None, None)
     }
 
     /// [`Self::watch_path`] with the watch descriptor charged to `owner`, so
@@ -180,7 +185,7 @@ impl NotifyHub {
         mask: EventMask,
         owner: u32,
     ) -> (WatchId, Receiver<Event>) {
-        self.add(Scope::Path(path.clone()), mask, Some(owner))
+        self.add(Scope::Path(path.clone()), mask, None, Some(owner))
     }
 
     /// [`Self::watch_subtree`] with the watch descriptor charged to `owner`.
@@ -190,7 +195,7 @@ impl NotifyHub {
         mask: EventMask,
         owner: u32,
     ) -> (WatchId, Receiver<Event>) {
-        self.add(Scope::Subtree(path.clone()), mask, Some(owner))
+        self.add(Scope::Subtree(path.clone()), mask, None, Some(owner))
     }
 
     /// Cancel a watch. Returns whether it existed.
@@ -281,13 +286,19 @@ impl NotifyHub {
             for w in ws.iter() {
                 let matched: Vec<&(EventKind, VPath, Option<String>)> = events
                     .iter()
-                    .filter(|(kind, path, _)| {
+                    .filter(|(kind, path, name)| {
+                        // Cheapest test first: a watch that cannot match
+                        // costs every write in the system this much.
                         w.mask.contains(*kind)
+                            && (w.name.is_none() || w.name.as_deref() == name.as_deref())
                             && match &w.scope {
                                 // A path watch sees events on the object itself
                                 // and events whose subject sits directly
-                                // inside it.
-                                Scope::Path(p) => path == p || path.parent() == *p,
+                                // inside it (compared in place:
+                                // `parent()` would allocate per event).
+                                Scope::Path(p) => {
+                                    path.strip_prefix(p).is_some_and(|rest| !rest.contains('/'))
+                                }
                                 Scope::Subtree(p) => path.starts_with(p),
                             }
                     })
@@ -379,6 +390,40 @@ mod tests {
         let evs: Vec<Event> = rx.try_iter().collect();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].kind, EventKind::CloseWrite);
+    }
+
+    #[test]
+    fn name_filter_discards_before_queueing() {
+        let hub = NotifyHub::new();
+        let scope = Scope::Subtree(p("/net/switches"));
+        let (_id, rx) = hub.add(scope, EventMask::ALL, Some("peer".to_string()), None);
+        let port = "/net/switches/sw1/ports/p1";
+        hub.emit_batch(&[
+            (EventKind::Create, p(port), Some("p1".to_string())),
+            (
+                EventKind::Create,
+                p(&format!("{port}/peer")),
+                Some("peer".to_string()),
+            ),
+            (EventKind::Modify, p(&format!("{port}/peer")), None), // no entry name
+            (
+                EventKind::Create,
+                p(&format!("{port}/peer2")),
+                Some("peer2".to_string()),
+            ),
+            (
+                EventKind::Delete,
+                p("/elsewhere/peer"),
+                Some("peer".to_string()),
+            ),
+        ]);
+        let evs: Vec<Event> = rx.try_iter().collect();
+        assert_eq!(evs.len(), 1);
+        assert_eq!(evs[0].path.as_str(), "/net/switches/sw1/ports/p1/peer");
+        // Filtered events are not matched events: nothing was dropped,
+        // nothing else was delivered.
+        assert_eq!((hub.delivered_events(), hub.dropped_events()), (1, 0));
+        assert_eq!(hub.queued_events(), 0);
     }
 
     #[test]

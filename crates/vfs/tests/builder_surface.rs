@@ -41,6 +41,7 @@ const EXPECTED_BUILDER_FNS: &[&str] = &[
 const EXPECTED_WATCH_BUILDER_FNS: &[&str] = &[
     "pub fn subtree(mut self) -> Self",
     "pub fn mask(mut self, mask: EventMask) -> Self",
+    "pub fn named(mut self, name: &str) -> Self",
     "pub fn as_creds(mut self, creds: &Credentials) -> Self",
     "pub fn as_uid(self, uid: u32) -> Self",
     "pub fn register(self) -> VfsResult<WatchGuard>",
