@@ -411,7 +411,10 @@ mod tests {
             out.out
         );
         assert!(out.out.contains("/net/.proc/vfs/syscalls/mkdir: "));
-        assert!(out.out.contains("/net/.proc/vfs/latency/mkdir: count="));
+        assert_eq!(
+            fs.stat("/net/.proc/vfs/latency", &creds).unwrap_err().errno,
+            yanc_vfs::Errno::ENOENT
+        );
         // Explicit root works too; a non-proc path fails cleanly.
         assert!(s.run("stats /net/.proc").success());
         assert!(!s.run("stats /net/nope").success());

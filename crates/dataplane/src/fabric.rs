@@ -219,7 +219,8 @@ mod tests {
 
     #[test]
     fn counts_match_the_formulas() {
-        for k in [2u16, 4, 6, 8] {
+        // k = 32 is the E26 headline shape: 1,280 switches, 8,192 hosts.
+        for k in [2u16, 4, 6, 8, 32] {
             let ft = FatTree::new(k);
             let k = k as usize;
             assert_eq!(ft.n_switches(), 5 * k * k / 4);

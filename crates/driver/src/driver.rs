@@ -35,7 +35,7 @@ use yanc_openflow::{
     Reassembler, StatsReply, StatsRequest, SwitchFeatures, Version,
 };
 use yanc_openflow::{flow_mod_flags, port_no, FrameCodec};
-use yanc_vfs::{Event, EventKind, EventMask, LatencyHistogram, WatchGuard};
+use yanc_vfs::{Event, EventKind, EventMask, WatchGuard};
 
 /// Driver lifecycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,19 +99,32 @@ pub struct DriverStats {
     pub state_code: AtomicU64,
     /// Control-channel faults applied (frames dropped or reordered).
     pub faults: AtomicU64,
-    /// Virtual control-channel round-trip costs: a deterministic
-    /// 1µs-base + 8ns/byte model over the encoded frame size.
-    pub rtt: LatencyHistogram,
 }
 
 impl DriverStats {
-    fn record_tx(&self, wire_bytes: usize, is_flow_mod: bool) {
+    fn record_tx(&self, is_flow_mod: bool) {
         self.msgs_tx.fetch_add(1, Ordering::Relaxed);
         if is_flow_mod {
             self.flow_mods.fetch_add(1, Ordering::Relaxed);
         }
-        self.rtt.record(1_000 + 8 * wire_bytes as u64);
     }
+}
+
+/// The add-`FlowMod` a committed [`FlowSpec`] denotes (flags left clear).
+fn flow_mod(spec: &FlowSpec) -> FlowMod {
+    let mut fm = FlowMod::add(spec.m, spec.priority, spec.actions.clone());
+    fm.idle_timeout = spec.idle_timeout;
+    fm.hard_timeout = spec.hard_timeout;
+    fm.cookie = spec.cookie;
+    fm.goto_table = spec.goto_table;
+    fm
+}
+
+/// The strict delete removing exactly the switch entry `spec` installed.
+fn delete_strict(spec: &FlowSpec) -> Message {
+    let mut fm = FlowMod::add(spec.m, spec.priority, vec![]);
+    fm.command = FlowModCommand::DeleteStrict;
+    Message::FlowMod(fm)
 }
 
 /// Readiness probe for one driver: how much work is queued across its
@@ -321,10 +334,6 @@ impl OpenFlowDriver {
             format!("{}\n", st.ready.load(Ordering::Relaxed) as u8)
         });
         let st = self.stats.clone();
-        let _ = fs.proc_file(base.join("rtt").as_str(), move || {
-            format!("{}\n", st.rtt.summary())
-        });
-        let st = self.stats.clone();
         let _ = fs.proc_file(base.join("state").as_str(), move || {
             format!(
                 "{}\n",
@@ -348,8 +357,7 @@ impl OpenFlowDriver {
         let xid = self.xid();
         match encode(self.version, msg, xid) {
             Ok(b) => {
-                self.stats
-                    .record_tx(b.len(), matches!(msg, Message::FlowMod(_)));
+                self.stats.record_tx(matches!(msg, Message::FlowMod(_)));
                 self.handle.tx.send(b).is_ok()
             }
             Err(_) => false,
@@ -417,28 +425,25 @@ impl OpenFlowDriver {
                 worked = true;
                 match op {
                     FlowOp::Install { name, spec, .. } => {
-                        let mut fm = FlowMod::add(spec.m, spec.priority, spec.actions.clone());
-                        fm.idle_timeout = spec.idle_timeout;
-                        fm.hard_timeout = spec.hard_timeout;
-                        fm.cookie = spec.cookie;
-                        fm.goto_table = spec.goto_table;
                         if let Some((_, old)) = self.installed.get(&name) {
                             if old.m != spec.m || old.priority != spec.priority {
-                                let mut del = FlowMod::add(old.m, old.priority, vec![]);
-                                del.command = FlowModCommand::DeleteStrict;
-                                self.send(&Message::FlowMod(del));
+                                self.send(&delete_strict(old));
                             }
                         }
-                        self.send(&Message::FlowMod(fm));
+                        // No SEND_FLOW_REM here, unlike `sync_flow`: the
+                        // flag asks the switch to report expiry so the
+                        // flow's *directory* can be removed, and a ring
+                        // flow has none. The FlowRemoved handler would park
+                        // the name in `self_deletes` and swallow the Delete
+                        // event of a later fs flow of the same name.
+                        self.send(&Message::FlowMod(flow_mod(&spec)));
                         // Recorded at version 0 so a later fs-side commit of
                         // the same name (version >= 1) supersedes it.
                         self.installed.insert(name, (0, spec));
                     }
                     FlowOp::Delete { name, .. } => {
                         if let Some((_, old)) = self.installed.remove(&name) {
-                            let mut del = FlowMod::add(old.m, old.priority, vec![]);
-                            del.command = FlowModCommand::DeleteStrict;
-                            self.send(&Message::FlowMod(del));
+                            self.send(&delete_strict(&old));
                         }
                     }
                 }
@@ -748,9 +753,7 @@ impl OpenFlowDriver {
                     return; // our own FlowRemoved-driven cleanup
                 }
                 if let Some((_, spec)) = self.installed.remove(&flow) {
-                    let mut fm = FlowMod::add(spec.m, spec.priority, vec![]);
-                    fm.command = FlowModCommand::DeleteStrict;
-                    self.send(&Message::FlowMod(fm));
+                    self.send(&delete_strict(&spec));
                 }
             }
             // Port admin state.
@@ -822,22 +825,16 @@ impl OpenFlowDriver {
             // The fs flow was rewritten with a different match/priority:
             // the switch entry it used to denote must go, or it lingers.
             if old.m != spec.m || old.priority != spec.priority {
-                let mut del = FlowMod::add(old.m, old.priority, vec![]);
-                del.command = FlowModCommand::DeleteStrict;
-                self.send(&Message::FlowMod(del));
+                self.send(&delete_strict(old));
             }
         }
-        let mut fm = FlowMod::add(spec.m, spec.priority, spec.actions.clone());
-        fm.idle_timeout = spec.idle_timeout;
-        fm.hard_timeout = spec.hard_timeout;
-        fm.cookie = spec.cookie;
-        fm.goto_table = spec.goto_table;
+        let mut fm = flow_mod(&spec);
         fm.flags = flow_mod_flags::SEND_FLOW_REM;
         let xid = self.xid();
         let flow_dir = self.yfs.flow_dir(sw, flow);
         match encode(self.version, &Message::FlowMod(fm), xid) {
             Ok(bytes) => {
-                self.stats.record_tx(bytes.len(), true);
+                self.stats.record_tx(true);
                 let _ = self.handle.tx.send(bytes);
                 self.installed
                     .insert(flow.to_string(), (spec.version, spec));

@@ -975,7 +975,15 @@ mod tests {
                     .unwrap()
                     > 0
             );
-            assert!(read("/net/.proc/drivers/swa/rtt").contains("count="));
+            assert_eq!(
+                rt.yfs
+                    .filesystem()
+                    .stat("/net/.proc/drivers/swa/rtt", rt.yfs.creds())
+                    .unwrap_err()
+                    .errno,
+                yanc_vfs::Errno::ENOENT,
+                "no modelled round-trip row"
+            );
             assert!(
                 read("/net/.proc/dataplane/events").parse::<u64>().unwrap() > 0,
                 "pump() mirrors NetStats into the proc tree"

@@ -1,4 +1,4 @@
-//! # yanc-harness — scenario builders shared by examples, tests and benches
+//! # yanc-harness — scenario builders shared by examples, tests and `benchmark/`
 //!
 //! Standard topologies (line, ring, tree, fat-tree) built on a
 //! [`Runtime`], ground-truth topology recording, combined pumping of
@@ -360,65 +360,6 @@ pub fn ping_all_pairs(
     (sent, answered)
 }
 
-/// Render a file system's metric registries as a deterministic JSON
-/// object: `{"syscalls": {"<op>": n, …, "total": n}, "latency_ns":
-/// {"<op>": {"count", "sum", "p50", "p90", "p99", "max"}, …}}`.
-///
-/// The JSON is hand-rolled (the workspace deliberately has no serde
-/// dependency); keys follow [`OpKind::all`] order so reruns of the same
-/// workload produce byte-identical reports.
-pub fn metrics_json(fs: &yanc_vfs::Filesystem) -> String {
-    use yanc_vfs::OpKind;
-    let counters = fs.counters();
-    let metrics = fs.metrics();
-    let mut s = String::from("{\n  \"syscalls\": {\n");
-    for op in OpKind::all() {
-        s.push_str(&format!("    \"{}\": {},\n", op.name(), counters.get(*op)));
-    }
-    s.push_str(&format!("    \"total\": {}\n  }},\n", counters.total()));
-    s.push_str("  \"latency_ns\": {\n");
-    let ops = OpKind::all();
-    for (i, op) in ops.iter().enumerate() {
-        let h = metrics.histogram(*op);
-        let comma = if i + 1 == ops.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    \"{}\": {{\"count\": {}, \"sum\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}{comma}\n",
-            op.name(),
-            h.count(),
-            h.sum(),
-            h.quantile(50),
-            h.quantile(90),
-            h.quantile(99),
-            h.max_bound(),
-        ));
-    }
-    s.push_str("  }\n}\n");
-    s
-}
-
-/// Write a named `BENCH_<name>.json` report into the workspace root so
-/// benchmark runs leave a machine-readable artifact next to
-/// `EXPERIMENTS.md`. `extra` is a list of already-JSON-encoded key/value
-/// pairs merged in front of the metrics object.
-pub fn write_bench_report(name: &str, fs: &yanc_vfs::Filesystem, extra: &[(&str, String)]) {
-    let mut body = String::from("{\n");
-    for (k, v) in extra {
-        body.push_str(&format!("  \"{k}\": {v},\n"));
-    }
-    let metrics = metrics_json(fs);
-    // Splice: drop the metrics object's outer braces and inline its body.
-    let inner = metrics
-        .trim_start_matches("{\n")
-        .trim_end_matches('\n')
-        .trim_end_matches('}');
-    body.push_str(inner);
-    body.push_str("}\n");
-    let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
-    if let Err(e) = std::fs::write(&path, body) {
-        eprintln!("warning: could not write {path}: {e}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,26 +429,6 @@ mod tests {
             ping_all_pairs(&mut rt, &topo, &mut [&mut router as &mut dyn PumpApp]);
         assert_eq!(sent, 2);
         assert_eq!(answered, 2, "all pings answered via installed paths");
-    }
-
-    #[test]
-    fn metrics_json_is_well_formed_and_deterministic() {
-        let mut rt = Runtime::new();
-        rt.add_switch_with_driver(1, 4, 1, vec![Version::V1_0], Version::V1_0);
-        rt.pump().unwrap();
-        let fs = rt.yfs.filesystem();
-        let a = metrics_json(fs);
-        let b = metrics_json(fs);
-        assert_eq!(a, b, "same state renders identically");
-        assert!(a.contains("\"syscalls\""));
-        assert!(a.contains(&format!("\"total\": {}", fs.counters().total())));
-        assert!(a.contains("\"latency_ns\""));
-        assert!(a.contains("\"p99\""));
-        // Balanced braces — cheap well-formedness check without a parser.
-        let open = a.matches('{').count();
-        let close = a.matches('}').count();
-        assert_eq!(open, close);
-        assert!(a.ends_with("}\n"));
     }
 
     #[test]

@@ -367,11 +367,6 @@ impl Filesystem {
         &self.counters
     }
 
-    /// Latency histograms and per-mount counter scopes.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
     /// The notification hub.
     pub fn notify(&self) -> &NotifyHub {
         &self.notify

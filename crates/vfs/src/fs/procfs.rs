@@ -89,8 +89,8 @@ impl Filesystem {
     ///
     /// Creates the directory, installs the [`ProcHook`] enforcing lazy
     /// refresh + `EROFS`, and registers the vfs's own figures beneath it:
-    /// `vfs/syscalls/<op>` and `vfs/syscalls/total`, `vfs/latency/<op>`
-    /// (virtual-cost histogram summaries), and `vfs/notify/{watches,queued}`.
+    /// `vfs/syscalls/<op>` and `vfs/syscalls/total`, and
+    /// `vfs/notify/{watches,queued}`.
     /// Operations on paths under the mount are exempt from syscall
     /// accounting, so reading a counter does not disturb it.
     pub fn mount_proc(&self, prefix: &str) -> VfsResult<()> {
@@ -117,10 +117,6 @@ impl Filesystem {
         for &op in OpKind::all() {
             let c = self.counters.clone();
             self.proc_num(vfs(&format!("syscalls/{}", op.name())), move || c.get(op))?;
-            let m = self.metrics.clone();
-            self.proc_num(vfs(&format!("latency/{}", op.name())), move || {
-                m.histogram(op).summary()
-            })?;
         }
         let pr = self.proc.clone();
         self.proc_file(&vfs("mounts"), move || pr.render_mount_tables())?;

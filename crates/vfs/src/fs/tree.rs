@@ -466,6 +466,11 @@ impl Filesystem {
         let events = loop {
             let mut events: Vec<PendingEvent> = Vec::new();
             let r = self.resolve_live(&vp, creds, false)?;
+            if r.name.is_empty() {
+                // `/` has no parent entry, so the `entry_is` re-check below
+                // could never hold and the loop would spin.
+                return err(Errno::EISDIR, vp.as_str());
+            }
             let ino = r
                 .target
                 .ok_or_else(|| VfsError::new(Errno::ENOENT, vp.as_str()))?;

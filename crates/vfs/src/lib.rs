@@ -19,10 +19,10 @@
 //!   objects on `mkdir` and make object removal recursive (paper §3.1),
 //! * **per-operation syscall counters**, the measurement instrument for the
 //!   paper's §8.1 context-switch-cost argument,
-//! * **deterministic latency metrics + `/proc`-style introspection mounts**
-//!   ([`metrics`], [`proc`]): a virtual-clock cost model feeds per-operation
-//!   histograms, and `mount_proc` exposes counters/histograms/notify state
-//!   as readable files under e.g. `/net/.proc`.
+//! * **named counter scopes + `/proc`-style introspection mounts**
+//!   ([`metrics`], [`proc`]): a scope tallies the syscalls landing under
+//!   one path prefix, and `mount_proc` exposes counters/notify state as
+//!   readable files under e.g. `/net/.proc`.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -73,7 +73,7 @@ pub use fs::{
 };
 pub use hooks::SemanticHook;
 pub use journal::{scan_frames, FrameInfo, JournalStats, ReplayReport, JOURNAL_VERSION};
-pub use metrics::{op_cost_ns, LatencyHistogram, MetricsRegistry};
+pub use metrics::MetricsRegistry;
 pub use namespace::{MountInfo, Namespace};
 pub use notify::{Event, EventKind, EventMask, NotifyHub, WatchId};
 pub use overlay::{CommitReport, Overlay, OverlayStats, OPAQUE_XATTR, WHITEOUT_PREFIX};

@@ -1,150 +1,19 @@
-//! Deterministic operation metrics: per-mount-scoped syscall counters and
-//! virtual-clock latency histograms.
-//!
-//! The vfs is in-process, so wall-clock timings would be noisy and
-//! machine-dependent. Instead every operation is charged a *virtual* cost
-//! derived only from its kind and path depth ([`op_cost_ns`]), and those
-//! costs feed log2-bucketed [`LatencyHistogram`]s. Two runs of the same
-//! workload therefore produce bit-identical histograms — which is what lets
-//! the `/net/.proc` introspection tree and the `BENCH_*.json` reports be
-//! asserted on in regression tests.
+//! Named per-prefix syscall counter scopes.
 //!
 //! The [`MetricsRegistry`] extends the global [`SyscallCounters`] tally with
 //! *named scopes*: a scope is a path prefix (typically a mount point such as
 //! `/net`) with its own `SyscallCounters`, so experiments can ask "how many
 //! syscalls landed under this mount" without diffing global snapshots.
+//! Counts are the only thing kept here: they are machine-independent and
+//! pinned by the tier-1 tests. Time is measured, not modelled — see
+//! `benchmark/`.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use crate::counter::{OpKind, SyscallCounters};
-
-/// Number of log2 buckets: covers costs up to 2^31 ns (~2 s), far beyond
-/// anything the cost model produces.
-const N_BUCKETS: usize = 32;
-
-/// Deterministic virtual cost of one operation, in nanoseconds.
-///
-/// The base charge per kind loosely mirrors relative Linux VFS costs
-/// (directory mutation > file open > attribute read); each path component
-/// adds a fixed lookup charge. The absolute numbers are arbitrary but
-/// *stable*: tests and benchmarks depend on them not changing between runs.
-pub fn op_cost_ns(op: OpKind, path: &str) -> u64 {
-    let base = match op {
-        OpKind::Stat => 1_300,
-        OpKind::Open => 1_700,
-        OpKind::Close => 900,
-        OpKind::Read => 1_100,
-        OpKind::Write => 1_600,
-        OpKind::Mkdir => 2_100,
-        OpKind::Rmdir => 1_900,
-        OpKind::Unlink => 1_500,
-        OpKind::Rename => 2_300,
-        OpKind::Symlink => 1_400,
-        OpKind::Readlink => 800,
-        OpKind::Link => 1_200,
-        OpKind::Readdir => 2_000,
-        OpKind::Setattr => 1_000,
-        OpKind::Xattr => 950,
-        OpKind::Truncate => 1_250,
-        // Descriptor-relative ops skip path resolution: cheaper than their
-        // path-addressed counterparts at any depth.
-        OpKind::Openat => 1_000,
-        OpKind::Fstat => 700,
-        OpKind::Fsync => 1_100,
-        OpKind::Poll => 600,
-    };
-    let depth = path.split('/').filter(|c| !c.is_empty()).count() as u64;
-    base + 150 * depth
-}
-
-/// Lock-free histogram over log2 buckets: bucket *i* counts samples whose
-/// value `v` satisfies `floor(log2(v)) == i` (bucket 0 also takes `v == 0`).
-#[derive(Debug, Default)]
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; N_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one sample (nanoseconds).
-    pub fn record(&self, ns: u64) {
-        let b = (64 - ns.max(1).leading_zeros() as usize - 1).min(N_BUCKETS - 1);
-        self.buckets[b].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all samples (ns).
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Upper bound (ns) of the bucket containing the `q`-quantile sample
-    /// (`q` in 0..=100). Zero when empty.
-    pub fn quantile(&self, q: u64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        // Rank of the quantile sample, 1-based, clamped into [1, n].
-        let rank = ((n * q).div_ceil(100)).clamp(1, n);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return 1u64 << (i + 1);
-            }
-        }
-        1u64 << N_BUCKETS
-    }
-
-    /// Upper bound (ns) of the highest occupied bucket. Zero when empty.
-    pub fn max_bound(&self) -> u64 {
-        for i in (0..N_BUCKETS).rev() {
-            if self.buckets[i].load(Ordering::Relaxed) > 0 {
-                return 1u64 << (i + 1);
-            }
-        }
-        0
-    }
-
-    /// One-line deterministic summary, e.g.
-    /// `count=12 sum_ns=45600 p50=2048 p90=4096 p99=4096 max=4096`.
-    pub fn summary(&self) -> String {
-        format!(
-            "count={} sum_ns={} p50={} p90={} p99={} max={}",
-            self.count(),
-            self.sum(),
-            self.quantile(50),
-            self.quantile(90),
-            self.quantile(99),
-            self.max_bound()
-        )
-    }
-
-    /// Reset to empty (benchmarks call this between phases).
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-    }
-}
 
 struct Scope {
     name: String,
@@ -160,12 +29,11 @@ fn under(path: &str, prefix: &str) -> bool {
     path == prefix || (path.starts_with(prefix) && path.as_bytes().get(prefix.len()) == Some(&b'/'))
 }
 
-/// Per-operation latency histograms plus named per-prefix counter scopes.
+/// Named per-prefix counter scopes.
 ///
 /// One registry per [`crate::Filesystem`]; the filesystem feeds it from the
 /// same entry points that bump the global [`SyscallCounters`].
 pub struct MetricsRegistry {
-    hist: [LatencyHistogram; OpKind::COUNT],
     scopes: RwLock<Vec<Scope>>,
     /// Mirror of `scopes.len()`, readable without the lock: `record` is on
     /// every syscall's hot path and most filesystems have no scopes, so the
@@ -183,16 +51,14 @@ impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         MetricsRegistry {
-            hist: std::array::from_fn(|_| LatencyHistogram::new()),
             scopes: RwLock::new(Vec::new()),
             scope_count: AtomicUsize::new(0),
         }
     }
 
-    /// Record one operation on `path`: charges the virtual cost to the
-    /// per-kind histogram and bumps every scope whose prefix covers `path`.
+    /// Record one operation on `path`: bumps every scope whose prefix
+    /// covers `path`.
     pub fn record(&self, op: OpKind, path: &str) {
-        self.hist[op as usize].record(op_cost_ns(op, path));
         if self.scope_count.load(Ordering::Acquire) == 0 {
             return;
         }
@@ -240,16 +106,8 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// The latency histogram for one operation kind.
-    pub fn histogram(&self, op: OpKind) -> &LatencyHistogram {
-        &self.hist[op as usize]
-    }
-
-    /// Reset every histogram and scope counter.
+    /// Reset every scope counter.
     pub fn reset(&self) {
-        for h in &self.hist {
-            h.reset();
-        }
         for s in self.scopes.read().iter() {
             s.counters.reset();
         }
@@ -261,39 +119,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cost_model_is_deterministic_and_depth_sensitive() {
-        let a = op_cost_ns(OpKind::Stat, "/net/switches/sw1");
-        assert_eq!(a, op_cost_ns(OpKind::Stat, "/net/switches/sw1"));
-        assert!(op_cost_ns(OpKind::Stat, "/net/switches/sw1/flows") > a);
-        assert!(op_cost_ns(OpKind::Rename, "/a") > op_cost_ns(OpKind::Close, "/a"));
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let h = LatencyHistogram::new();
-        for _ in 0..9 {
-            h.record(1_000); // bucket 9 (512..1024), bound 1024
-        }
-        h.record(1_000_000); // bucket 19, bound 2^20
-        assert_eq!(h.count(), 10);
-        assert_eq!(h.sum(), 9 * 1_000 + 1_000_000);
-        assert_eq!(h.quantile(50), 1 << 10);
-        assert_eq!(h.quantile(99), 1 << 20);
-        assert_eq!(h.max_bound(), 1 << 20);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile(50), 0);
-    }
-
-    #[test]
-    fn zero_sample_lands_in_first_bucket() {
-        let h = LatencyHistogram::new();
-        h.record(0);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.quantile(50), 2);
-    }
-
-    #[test]
     fn scopes_only_see_their_prefix() {
         let m = MetricsRegistry::new();
         let net = m.add_scope("net", "/net");
@@ -303,7 +128,6 @@ mod tests {
         m.record(OpKind::Stat, "/network"); // sibling, NOT under /net
         assert_eq!(net.total(), 1);
         assert_eq!(all.total(), 3);
-        assert_eq!(m.histogram(OpKind::Stat).count(), 3);
         assert_eq!(m.scope("net").unwrap().total(), 1);
         assert!(m.scope("missing").is_none());
     }

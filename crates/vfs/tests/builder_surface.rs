@@ -68,7 +68,6 @@ const EXPECTED_FILESYSTEM_FNS: &[&str] = &[
     "pub fn readpath_enabled(&self) -> bool",
     "pub fn shard_count(&self) -> usize",
     "pub fn counters(&self) -> &SyscallCounters",
-    "pub fn metrics(&self) -> &MetricsRegistry",
     "pub fn add_metrics_scope(&self, name: &str, prefix: &str) -> Arc<SyscallCounters>",
     "pub fn notify(&self) -> &NotifyHub",
     "pub fn proc(&self) -> &ProcRegistry",

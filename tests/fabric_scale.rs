@@ -1,15 +1,18 @@
 //! Fabric scale (§8): data-center fat trees brought up, stormed and
 //! bulk-programmed under *pinned* deterministic budgets.
 //!
-//! Three claims, each an exact count rather than a threshold:
+//! Four claims, each an exact count rather than a threshold:
 //!
 //! 1. bring-up is an affine function of the shape — a fixed per-switch
 //!    budget (batched materialization) plus a fixed per-port term, with
 //!    identical constants at different fabric sizes;
 //! 2. bulk flow install through the descriptor fast path costs exactly
-//!    6 charged syscalls per flow (amortized `open`/`close` aside) no
-//!    matter how many switches the flows spread over;
-//! 3. an idle fabric costs zero runtime iterations — the event-driven
+//!    6 charged syscalls and 13 notify events per flow (amortized
+//!    `open`/`close` aside) no matter how many switches the flows spread
+//!    over;
+//! 3. a packet-in storm costs exactly 23 charged syscalls per packet-in,
+//!    whatever the fabric size;
+//! 4. an idle fabric costs zero runtime iterations — the event-driven
 //!    scheduler never touches a driver without a readiness signal.
 
 use yanc::FlowSpec;
@@ -17,7 +20,7 @@ use yanc_dataplane::{FabricTier, FatTree};
 use yanc_driver::Runtime;
 use yanc_harness::build_fabric;
 use yanc_openflow::{port_no, Action, FlowMatch, Version};
-use yanc_vfs::OpKind;
+use yanc_vfs::{EventMask, OpKind};
 
 /// Build a k-fabric and return (total syscalls, switches, total ports).
 fn bringup_cost(k: u16) -> (u64, usize, usize) {
@@ -81,6 +84,14 @@ fn bulk_install_costs_two_syscalls_per_flow() {
         .collect();
     assert_eq!(edges.len(), 8);
     const FLOWS_PER_SWITCH: usize = 8;
+    let watch = rt
+        .yfs
+        .filesystem()
+        .watch("/net/switches")
+        .subtree()
+        .mask(EventMask::ALL)
+        .register()
+        .unwrap();
     let before = rt.yfs.filesystem().counters().snapshot();
     for sw in &edges {
         let fd = rt.yfs.open_flows_dir(sw).unwrap();
@@ -108,6 +119,14 @@ fn bulk_install_costs_two_syscalls_per_flow() {
         (edges.len() * (2 + 6 * FLOWS_PER_SWITCH)) as u64,
         "descriptor fast-path install budget drifted"
     );
+    // Notify traffic is an exact per-flow rate too (the flows-dir
+    // open/close itself queues nothing).
+    assert_eq!(
+        watch.receiver().try_iter().count(),
+        edges.len() * 13 * FLOWS_PER_SWITCH,
+        "bulk install notify rate drifted from 13 events/flow"
+    );
+    drop(watch);
     // The drivers pick every install up from the watch stream.
     rt.pump().unwrap();
     for sw in &edges {
@@ -119,6 +138,32 @@ fn bulk_install_costs_two_syscalls_per_flow() {
         }
     }
     drop(topo);
+}
+
+/// One ping per edge switch, no flows installed anywhere: every ping
+/// ARPs, misses, and becomes exactly one packet-in at its edge, and each
+/// packet-in costs a fixed number of charged syscalls (driver publish +
+/// one subscriber's fan-out) whatever the fabric size.
+#[test]
+fn packet_in_storm_costs_23_syscalls_per_packet_in() {
+    for k in [4u16, 6] {
+        let mut rt = Runtime::new();
+        let topo = build_fabric(&mut rt, k, Version::V1_3);
+        let sub = rt.yfs.subscribe_events("storm").unwrap();
+        let half = (k / 2) as usize;
+        let n_edges = k as usize * half;
+        let before = rt.yfs.filesystem().counters().total();
+        for e in 0..n_edges {
+            // hosts are pod-major, k/2 consecutive slots per edge
+            let (src, _) = topo.hosts[e * half];
+            let (_, dst_ip) = topo.hosts[e * half + 1];
+            rt.net.host_ping(src, dst_ip, 1);
+        }
+        rt.pump().unwrap();
+        let storm_syscalls = rt.yfs.filesystem().counters().total() - before;
+        assert_eq!(sub.poll().len(), n_edges, "one packet-in per stormed edge");
+        assert_eq!(storm_syscalls, 23 * n_edges as u64, "k={k}");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -291,6 +336,21 @@ fn worker_count_is_invisible_to_syscalls_and_digest() {
     }
 }
 
+/// Charged syscalls of one `write_counters_batch` carrying `n` counters.
+fn counters_batch_syscalls(n: usize) -> u64 {
+    let mut rt = Runtime::with_workers(1);
+    let sw = rt.add_switch_with_driver(0xA, 4, 1, vec![Version::V1_3], Version::V1_3);
+    rt.pump().unwrap();
+    let entries: Vec<(String, u64)> = (0..n)
+        .map(|i| (format!("counters/c{i}"), i as u64))
+        .collect();
+    let before = rt.yfs.filesystem().counters().total();
+    rt.yfs
+        .write_counters_batch(&rt.yfs.switch_dir(&sw), &entries)
+        .unwrap();
+    rt.yfs.filesystem().counters().total() - before
+}
+
 #[test]
 fn fanin_batches_are_identical_across_worker_counts() {
     let run = |workers: usize| -> (ReplayTrace, u64, u64) {
@@ -300,8 +360,14 @@ fn fanin_batches_are_identical_across_worker_counts() {
         (t, fanin.flushes(), fanin.replies())
     };
     let (a, flushes_a, replies_a) = run(1);
-    assert!(replies_a > 0, "stats poll produced no fan-in replies");
-    assert!(flushes_a > 0, "fan-in never flushed");
+    // One flush lands the whole poll: a port and a flow reply from each
+    // of the 20 switches. A flush is one `write_counters_batch` — 3
+    // charged syscalls however many counters ride in it — so fan-in pays
+    // 3/40 counter-write syscalls per reply where the un-fanned path
+    // pays 3.
+    assert_eq!((flushes_a, replies_a), (1, 40));
+    assert_eq!(counters_batch_syscalls(16), 3);
+    assert_eq!(counters_batch_syscalls(1), 3);
     for workers in [2, 4] {
         let (b, flushes_b, replies_b) = run(workers);
         assert_eq!(

@@ -1,7 +1,6 @@
 //! E14 + E15 correctness legs: libyanc's fastpath installs the same flows
 //! as the file path with drastically fewer simulated syscalls, and the
-//! packet bus fans out without copying. (The performance legs live in the
-//! criterion benches.)
+//! packet bus fans out without copying.
 
 use bytes::Bytes;
 use libyanc::{FastPacketIn, FlowChannel, PacketBus};

@@ -10,10 +10,7 @@
 //!
 //! Deliberately out of scope:
 //! * `crates/vfs/src/poll.rs` — the `wait(timeout)` *implementation*
-//!   needs a deadline clock; its tests assert on counters, not time;
-//! * `crates/bench/benches/vfs_parallel.rs` — wall-clock throughput is
-//!   *reported* as context there, never asserted; every BENCH_*.json
-//!   marks the deterministic counter as the primary metric.
+//!   needs a deadline clock; its tests assert on counters, not time.
 
 use std::fs;
 use std::path::Path;

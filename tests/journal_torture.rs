@@ -18,11 +18,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use yanc::{YancApp, YancFs, YancResult};
+use yanc::{FlowSpec, YancApp, YancFs, YancResult};
 use yanc_apps::TopologyDaemon;
 use yanc_harness::{build_line, settle_supervised};
 use yanc_init::{Fault, ProcessCtx, ProcessSpec, Supervisor};
-use yanc_openflow::Version;
+use yanc_openflow::{Action, FlowMatch, Version};
 use yanc_vfs::{scan_frames, Acl, Credentials, Filesystem, Gid, Limits, Mode, Uid, VfsResult};
 
 // ----------------------------------------------------------------------
@@ -765,4 +765,87 @@ fn warm_restart_replays_fewer_syscalls_than_cold() {
     let (warm2, report2) = Filesystem::restore_from_journal(&bytes, Limits::default(), 4, true);
     assert_eq!(report, report2);
     assert_eq!(warm2.tree_digest(), pre_digest);
+}
+
+/// E23 in counts, on a 100-flow switch: journaling never changes what a
+/// mutation is charged, a snapshot installs for free, and replaying the
+/// raw log costs one syscall per record — fewer than rebuilding the same
+/// world by path, which is what a cold restart re-running discovery pays.
+#[test]
+fn journaled_install_is_charged_the_same_and_replays_cheaper_than_a_cold_build() {
+    const N: u64 = 100;
+    let world = |journal: bool, batched: bool| -> YancFs {
+        let fs = Filesystem::builder().build();
+        if journal {
+            fs.enable_journal();
+        }
+        let yfs = YancFs::init(Arc::new(fs), "/net").unwrap();
+        yfs.create_switch("sw0", 0x22, 0, 0, 0, 1).unwrap();
+        let spec = |i: u64| FlowSpec {
+            m: FlowMatch {
+                in_port: Some(1),
+                tp_dst: Some(i as u16),
+                ..Default::default()
+            },
+            actions: vec![Action::out(2)],
+            priority: 900,
+            ..Default::default()
+        };
+        if batched {
+            let flows = yfs.open_flows_dir("sw0").unwrap();
+            for i in 0..N {
+                yfs.write_flow_at(flows, &format!("d{i}"), &spec(i))
+                    .unwrap();
+            }
+            yfs.filesystem().close(flows, yfs.creds()).unwrap();
+        } else {
+            for i in 0..N {
+                yfs.write_flow("sw0", &format!("d{i}"), &spec(i)).unwrap();
+            }
+        }
+        yfs
+    };
+    let restore =
+        |bytes: &[u8]| Filesystem::restore_from_journal(bytes, Limits::default(), 8, true);
+
+    let cold_by_path = world(false, false).filesystem().counters().total();
+    let cold_batched = world(false, true).filesystem().counters().total();
+    let on = world(true, true);
+    let fs = on.filesystem();
+    let records = fs.journal_stats().records;
+    // Per flow: 26 syscalls by path (E4's 20 + 3·fields), 6 batched
+    // (E21), 9 journal records; the constants are the switch skeleton.
+    assert_eq!(
+        (cold_by_path, cold_batched, records),
+        (60 + 26 * N, 62 + 6 * N, 19 + 9 * N)
+    );
+    assert_eq!(
+        fs.counters().total(),
+        cold_batched,
+        "journal changed the accounting"
+    );
+
+    // Raw log: every record replays, one accounted syscall each.
+    let (replayed, report) = restore(&fs.journal_bytes());
+    assert_eq!(replayed.tree_digest(), fs.tree_digest());
+    assert_eq!(
+        (report.records_replayed, report.replay_syscalls),
+        (records, records)
+    );
+    assert!(
+        records < cold_by_path,
+        "replay must beat the path-addressed rebuild"
+    );
+
+    // Snapshot + compaction: the same tree, installed for free.
+    let live = fs.tree_digest();
+    fs.journal_snapshot();
+    assert!(fs.journal_compact() > 0);
+    let (warm, report) = restore(&fs.journal_bytes());
+    assert!(report.snapshot_used);
+    assert_eq!(warm.tree_digest(), live, "restore diverged");
+    assert_eq!(
+        report.replay_syscalls, 0,
+        "snapshot install must be syscall-free"
+    );
 }

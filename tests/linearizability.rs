@@ -92,22 +92,20 @@ enum OpKindL {
     Write,
     Read,
     Unlink,
+    /// `unlink` aimed at a directory (see [`UNLINK_DIRS`]).
+    UnlinkDir,
     Rename,
     Link,
     Exists,
 }
 
-/// One logical thread's next op, drawn from its private stream.
-fn gen_op(rng: &mut Rng) -> (OpKindL, String, String, Vec<u8>) {
-    let kind = match rng.below(10) {
-        0..=2 => OpKindL::Write,
-        3..=4 => OpKindL::Read,
-        5 => OpKindL::Unlink,
-        6..=7 => OpKindL::Rename,
-        8 => OpKindL::Link,
-        _ => OpKindL::Exists,
-    };
-    let src = format!(
+/// Directories the model never removes: `unlink` on any of them is
+/// `EISDIR` — the root included, which has no parent entry to re-check.
+const UNLINK_DIRS: [&str; 5] = ["/", "/t", "/t/d0", "/t/d1", "/t/d2"];
+
+/// Draw the operands for `kind` from the thread's private stream.
+fn with_operands(kind: OpKindL, rng: &mut Rng) -> (OpKindL, String, String, Vec<u8>) {
+    let mut src = format!(
         "{}/{}",
         DIRS[rng.below(DIRS.len())],
         NAMES[rng.below(NAMES.len())]
@@ -118,7 +116,24 @@ fn gen_op(rng: &mut Rng) -> (OpKindL, String, String, Vec<u8>) {
         NAMES[rng.below(NAMES.len())]
     );
     let data = format!("v{}", rng.next() % 1_000_000).into_bytes();
+    if kind == OpKindL::UnlinkDir {
+        src = UNLINK_DIRS[rng.below(UNLINK_DIRS.len())].to_string();
+    }
     (kind, src, dst, data)
+}
+
+/// One logical thread's next op, drawn from its private stream.
+fn gen_op(rng: &mut Rng) -> (OpKindL, String, String, Vec<u8>) {
+    let kind = match rng.below(11) {
+        0..=2 => OpKindL::Write,
+        3..=4 => OpKindL::Read,
+        5 => OpKindL::Unlink,
+        6..=7 => OpKindL::Rename,
+        8 => OpKindL::Link,
+        9 => OpKindL::Exists,
+        _ => OpKindL::UnlinkDir,
+    };
+    with_operands(kind, rng)
 }
 
 /// Apply one op to both the filesystem and the model; panic (with the
@@ -153,6 +168,15 @@ fn apply_op(
                     assert!(want.is_none(), "{}", ctx("lost an unlink"));
                 }
             }
+        }
+        OpKindL::UnlinkDir => {
+            let before = fs.counters().snapshot();
+            let e = fs
+                .unlink(&src, creds)
+                .expect_err(&ctx("unlinked a directory"));
+            assert_eq!(e.errno, Errno::EISDIR, "{}", ctx("unlink-dir errno"));
+            let used = fs.counters().snapshot().since(&before);
+            assert_eq!(used.total(), 1, "{}", ctx("unlink-dir charge"));
         }
         OpKindL::Rename => {
             if src == dst {
@@ -282,26 +306,16 @@ fn histories_replay_identically_on_one_shard() {
 /// toward the operations that invalidate dentry-cache entries, so stale
 /// positive *and* stale negative entries both get hammered.
 fn gen_op_heavy(rng: &mut Rng) -> (OpKindL, String, String, Vec<u8>) {
-    let kind = match rng.below(10) {
+    let kind = match rng.below(11) {
         0..=1 => OpKindL::Write,
         2 => OpKindL::Read,
         3..=4 => OpKindL::Unlink,
         5..=7 => OpKindL::Rename,
         8 => OpKindL::Link,
-        _ => OpKindL::Exists,
+        9 => OpKindL::Exists,
+        _ => OpKindL::UnlinkDir,
     };
-    let src = format!(
-        "{}/{}",
-        DIRS[rng.below(DIRS.len())],
-        NAMES[rng.below(NAMES.len())]
-    );
-    let dst = format!(
-        "{}/{}",
-        DIRS[rng.below(DIRS.len())],
-        NAMES[rng.below(NAMES.len())]
-    );
-    let data = format!("v{}", rng.next() % 1_000_000).into_bytes();
-    (kind, src, dst, data)
+    with_operands(kind, rng)
 }
 
 /// Replay one rename/unlink-heavy seeded history against a cache-on and
@@ -668,8 +682,10 @@ fn apply_overlay_op(
         (OpKindL::Write, Target::View(ov)) => unit(ov.write_file(&src, data, creds)),
         (OpKindL::Read, Target::Plain(fs, _)) => fs.read_file(&src, creds).map_err(|e| e.errno),
         (OpKindL::Read, Target::View(ov)) => ov.read_file(&src, creds).map_err(|e| e.errno),
-        (OpKindL::Unlink, Target::Plain(fs, _)) => unit(fs.unlink(&src, creds)),
-        (OpKindL::Unlink, Target::View(ov)) => unit(ov.unlink(&src, creds)),
+        (OpKindL::Unlink | OpKindL::UnlinkDir, Target::Plain(fs, _)) => {
+            unit(fs.unlink(&src, creds))
+        }
+        (OpKindL::Unlink | OpKindL::UnlinkDir, Target::View(ov)) => unit(ov.unlink(&src, creds)),
         (OpKindL::Rename, Target::Plain(fs, _)) => unit(fs.rename(&src, &dst, creds)),
         (OpKindL::Rename, Target::View(ov)) => unit(ov.rename(&src, &dst, creds)),
         (OpKindL::Link | OpKindL::Exists, Target::Plain(fs, _)) => {

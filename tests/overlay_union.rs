@@ -7,11 +7,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use yanc::{YancApp, YancResult};
+use yanc_apps::WhatIf;
 use yanc_driver::Runtime;
 use yanc_harness::settle_supervised;
 use yanc_init::{ProcessCtx, ProcessSpec, ProcessState, RestartPolicy, Supervisor};
 use yanc_vfs::{
-    AppLimits, Credentials, Errno, EventMask, Filesystem, Gid, Mode, Namespace, Overlay, Uid,
+    AppLimits, Credentials, Errno, EventMask, Filesystem, Gid, Limits, Mode, Namespace, Overlay,
+    OverlayStats, Uid,
 };
 
 fn world() -> Arc<Filesystem> {
@@ -311,4 +313,104 @@ fn supervisor_confines_an_app_behind_an_overlay() {
         "staged by app\n"
     );
     assert!(!fs.exists("/views/viewwriter/apps", &r), "staging cleared");
+}
+
+// ---------------------------------------------------------------------
+// E24: what a tenant view costs, identically for every tenant
+// ---------------------------------------------------------------------
+
+/// N copy-on-write views over one shared 3-flow base: setup, a
+/// read-through and a first write each cost an exact number of charged
+/// syscalls that does not depend on which tenant pays; read-through
+/// stages nothing, the first write copies up exactly once, the base is
+/// never touched; one validated commit then publishes a staged flow and
+/// the whole journaled history replays to the live digest.
+#[test]
+fn e24_view_costs_are_identical_for_every_tenant() {
+    const VIEWS: usize = 50;
+    let fs = Arc::new(Filesystem::builder().build());
+    fs.enable_journal();
+    let r = Credentials::root();
+    for f in ["ssh", "web", "dns"] {
+        let dir = format!("/base/switches/sw0/flows/{f}");
+        fs.mkdir_all(&dir, Mode::DIR_DEFAULT, &r).unwrap();
+        for (key, val) in [
+            ("match.tp_dst", "22\n"),
+            ("action.out", "2\n"),
+            ("priority", "900\n"),
+        ] {
+            fs.write_file(&format!("{dir}/{key}"), val.as_bytes(), &r)
+                .unwrap();
+        }
+    }
+    fs.mkdir_all("/views", Mode::DIR_DEFAULT, &r).unwrap();
+    let key = "/switches/sw0/flows/ssh/priority";
+
+    // Charged syscalls of `op`, which must come out the same for every view.
+    let per_view = |what: &str, budget: u64, op: &dyn Fn(usize)| {
+        for i in 0..VIEWS {
+            let before = fs.counters().total();
+            op(i);
+            assert_eq!(fs.counters().total() - before, budget, "{what}, view {i}");
+        }
+    };
+
+    let views: Vec<Overlay> = (0..VIEWS)
+        .map(|i| Overlay::new(fs.clone(), &["/base"], &format!("/views/t{i}")))
+        .collect();
+    per_view("view setup", 3, &|i| views[i].ensure_upper(&r).unwrap());
+    per_view("read-through", 11, &|i| {
+        assert_eq!(views[i].read_to_string(key, &r).unwrap(), "900\n");
+    });
+    for ov in &views {
+        assert_eq!(ov.stats(), OverlayStats::default(), "read-through staged");
+    }
+    per_view("first write", 47, &|i| {
+        views[i].write_file(key, b"100\n", &r).unwrap();
+    });
+    for ov in &views {
+        let st = ov.stats();
+        assert_eq!(
+            (st.copy_ups, st.copy_up_bytes),
+            (1, 4),
+            "one 4-byte copy-up"
+        );
+    }
+    assert_eq!(
+        fs.read_to_string(&format!("/base{key}"), &r).unwrap(),
+        "900\n",
+        "a tenant write leaked into the shared base"
+    );
+
+    // One validated atomic commit through the what-if app.
+    let session = WhatIf::begin(fs.clone(), "/base", "/staging/commit-view", &r).unwrap();
+    session
+        .stage_flow(
+            "sw0",
+            "lb",
+            &[
+                ("match.tp_dst", "443"),
+                ("action.out", "4"),
+                ("priority", "800"),
+            ],
+        )
+        .unwrap();
+    assert_eq!(
+        session.validate().unwrap(),
+        4,
+        "3 base flows + the staged one"
+    );
+    let report = session.commit().unwrap();
+    assert_eq!((report.records, report.bytes, report.whiteouts), (5, 7, 0));
+    assert!(fs.exists("/base/switches/sw0/flows/lb/priority", &r));
+
+    // Crash replay of the whole history — every copy-up plus the commit
+    // frame — lands on the live tree exactly.
+    let (warm, _) =
+        Filesystem::restore_from_journal(&fs.journal_bytes(), Limits::default(), 8, true);
+    assert_eq!(
+        warm.tree_digest(),
+        fs.tree_digest(),
+        "crash replay diverged"
+    );
 }

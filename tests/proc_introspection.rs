@@ -45,7 +45,6 @@ fn stats_command_summarises_a_live_runtime() {
     assert!(out.success(), "{}", out.err);
     for needle in [
         "/net/.proc/vfs/syscalls/total: ",
-        "/net/.proc/vfs/latency/write: count=",
         "/net/.proc/vfs/notify/watches: ",
         "/net/.proc/drivers/sw1/protocol: OpenFlow 1.0",
         "/net/.proc/drivers/sw1/ready: 1",
@@ -56,6 +55,12 @@ fn stats_command_summarises_a_live_runtime() {
             "missing `{needle}` in:\n{}",
             out.out
         );
+    }
+    // Counts only: no modelled-latency rows, for the vfs or a driver.
+    assert!(!out.out.contains("latency"), "{}", out.out);
+    for gone in ["/net/.proc/vfs/latency/write", "/net/.proc/drivers/sw1/rtt"] {
+        let e = rt.yfs.filesystem().stat(gone, rt.yfs.creds()).unwrap_err();
+        assert_eq!(e.errno, Errno::ENOENT, "{gone}");
     }
 }
 

@@ -16,11 +16,16 @@
 //!   readers converging through the bounded retry ladder — fallbacks
 //!   observed, total retries bounded, no livelock;
 //! * lockfree-off twin behaves identically but pays locks (the E25
-//!   control arm).
+//!   control arm);
+//! * the 1k-flow `stat` sweep over a live `/net` switch: inode-table
+//!   reads with and without the dentry cache (E22), shard locks with and
+//!   without the read path, and the deterministic chmod/stat storm (E25).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use yanc::{FlowSpec, YancFs};
+use yanc_openflow::{Action, FlowMatch};
 use yanc_vfs::{Credentials, Errno, Filesystem, Mode, OpenFlags};
 
 fn root() -> Credentials {
@@ -347,4 +352,162 @@ fn disabled_readpath_stats_identically_but_pays_locks() {
         (0, 0, 0, 0),
         "a disabled read path must stay completely inert"
     );
+}
+
+// ---------------------------------------------------------------------
+// The 1k-flow `stat` sweep over `/net/switches/sw0/flows/d<i>` (E22 +
+// E25): what the two read-side caches save on the paths the controller
+// actually walks, in inode-table reads and shard locks.
+// ---------------------------------------------------------------------
+
+const SWEEP: usize = 1000;
+
+/// A switch with [`SWEEP`] installed flows on the given filesystem flavour.
+fn flow_world(dcache: bool, readpath: bool) -> YancFs {
+    let fs = Filesystem::builder()
+        .dcache(dcache)
+        .readpath(readpath)
+        .build();
+    let yfs = YancFs::init(Arc::new(fs), "/net").unwrap();
+    yfs.create_switch("sw0", 0x25, 0, 0, 0, 1).unwrap();
+    let flows = yfs.open_flows_dir("sw0").unwrap();
+    for i in 0..SWEEP {
+        let spec = FlowSpec {
+            m: FlowMatch {
+                in_port: Some(1),
+                tp_dst: Some(i as u16),
+                ..Default::default()
+            },
+            actions: vec![Action::out(2)],
+            priority: 900,
+            ..Default::default()
+        };
+        yfs.write_flow_at(flows, &format!("d{i}"), &spec).unwrap();
+    }
+    yfs.filesystem().close(flows, yfs.creds()).unwrap();
+    yfs
+}
+
+/// What one sweep moved.
+#[derive(Debug, PartialEq, Eq)]
+struct SweepCost {
+    table_reads: u64,
+    locks: u64,
+    syscalls: u64,
+    optimistic_hits: u64,
+    fallbacks: u64,
+}
+
+/// Stat every flow directory once.
+fn stat_sweep(yfs: &YancFs) -> SweepCost {
+    let fs = yfs.filesystem();
+    let (reads, locks) = (fs.inode_table_reads(), fs.lock_acquisitions());
+    let (sys, rp) = (fs.counters().total(), fs.readpath_stats());
+    for i in 0..SWEEP {
+        fs.stat(&format!("/net/switches/sw0/flows/d{i}"), yfs.creds())
+            .unwrap();
+    }
+    let rp1 = fs.readpath_stats();
+    SweepCost {
+        table_reads: fs.inode_table_reads() - reads,
+        locks: fs.lock_acquisitions() - locks,
+        syscalls: fs.counters().total() - sys,
+        optimistic_hits: rp1.optimistic_hits - rp.optimistic_hits,
+        fallbacks: rp1.fallbacks - rp.fallbacks,
+    }
+}
+
+/// E22: a cold depth-5 stat walks every component through the inode
+/// table; a warm one is served by dentry-cache hits and touches the
+/// table only for the final stat itself. Read path off on both arms, so
+/// the dentry cache is the only difference (with it on, the warm sweep
+/// reads the table zero times — pinned by the E25 sweep below).
+#[test]
+fn e22_dcache_cuts_inode_table_reads_on_a_1k_flow_sweep() {
+    let n = SWEEP as u64;
+    let off = flow_world(false, false);
+    let cold = stat_sweep(&off);
+
+    let on = flow_world(true, false);
+    stat_sweep(&on); // fills the cache
+    let warm = stat_sweep(&on);
+
+    // A chmod on the flows directory bumps its generation: the d<i>
+    // entries refill, the prefix above them stays warm.
+    on.filesystem()
+        .chmod("/net/switches/sw0/flows", Mode::DIR_DEFAULT, on.creds())
+        .unwrap();
+    let post = stat_sweep(&on);
+
+    assert_eq!(cold.table_reads, 11 * n, "cold: 11 inode-table reads/stat");
+    assert_eq!(warm.table_reads, n, "warm: the final stat only");
+    assert_eq!(post.table_reads, 3 * n, "refill of one bumped level");
+    // The cache is transparent to the accounting model: a stat is one
+    // charged syscall whether it hit or missed.
+    assert_eq!((cold.syscalls, warm.syscalls, post.syscalls), (n, n, n));
+}
+
+/// E25: with a warm dcache the locked path still takes exactly one
+/// shard read lock per stat; the optimistic path takes zero, and every
+/// invalidation costs exactly one locked refill.
+#[test]
+fn e25_warm_1k_flow_sweep_is_lock_free_and_storm_falls_back_once_per_step() {
+    let n = SWEEP as u64;
+    let off = flow_world(true, false);
+    stat_sweep(&off);
+    let locked = stat_sweep(&off);
+    assert_eq!((locked.locks, locked.optimistic_hits), (n, 0));
+
+    let on = flow_world(true, true);
+    stat_sweep(&on); // fills the attribute blocks through the fallback
+    let warm = stat_sweep(&on);
+    assert_eq!(
+        warm,
+        SweepCost {
+            table_reads: 0,
+            locks: 0,
+            syscalls: locked.syscalls,
+            optimistic_hits: n,
+            fallbacks: 0,
+        },
+        "every warm stat must be optimistic, lock-free and charged as before"
+    );
+
+    // chmod one flow dir: its shard's seqlock moves, so d0 and every
+    // flow dir sharing that shard (one in `shard_count`, inode numbers
+    // being dealt round-robin) pay one locked refill; the sweep after is
+    // fully re-warmed.
+    let fs = on.filesystem();
+    let d0 = "/net/switches/sw0/flows/d0";
+    fs.chmod(d0, Mode(0o700), on.creds()).unwrap();
+    let post = stat_sweep(&on);
+    let refills = n / fs.shard_count() as u64;
+    assert_eq!(
+        post,
+        SweepCost {
+            table_reads: refills,
+            locks: refills,
+            syscalls: n,
+            optimistic_hits: n - refills,
+            fallbacks: refills,
+        }
+    );
+    assert_eq!(stat_sweep(&on).locks, 0, "one refill sweep re-warms");
+
+    // Deterministic retry storm: every chmod invalidates the flow's
+    // shard, so the following stat is exactly one locked fallback and
+    // serves exactly the mode just written. Retries need a concurrent
+    // writer (`retry_storm_converges_with_bounded_retries`); alone, the
+    // ladder never spins.
+    const STORM: u64 = 200;
+    let s0 = fs.readpath_stats();
+    for i in 0..STORM {
+        let mode = if i % 2 == 0 { Mode(0o700) } else { Mode(0o755) };
+        fs.chmod(d0, mode, on.creds()).unwrap();
+        let st = fs.stat(d0, on.creds()).unwrap();
+        assert_eq!(st.mode, mode, "storm served a stale generation");
+    }
+    let s1 = fs.readpath_stats();
+    assert_eq!(s1.fallbacks - s0.fallbacks, STORM);
+    assert_eq!(s1.optimistic_retries - s0.optimistic_retries, 0);
 }
