@@ -21,5 +21,5 @@ pub use actions::{apply_actions, ActionOutcome};
 pub use fabric::{FabricHost, FabricLink, FabricSwitch, FabricTier, FatTree};
 pub use flow_table::{entry, FlowEntry, FlowTable, RemovedFlow};
 pub use host::{ReceivedUdp, SimHost};
-pub use net::{ControlHandle, Endpoint, Link, NetStats, Network};
+pub use net::{ControlHandle, ControlTx, Endpoint, Link, NetStats, Network};
 pub use switch::{Effect, SimPort, SimSwitch};

@@ -5,15 +5,18 @@
 //! frames — the driver side (`ControlHandle`) can live on another thread.
 //! Time is virtual: [`Network::pump`] drains all events at the current
 //! clock, [`Network::advance`] moves the clock (expiring flow timeouts) and
-//! delivers in-flight frames. Event ordering is `(time, sequence)` so runs
-//! are exactly reproducible.
+//! delivers in-flight frames. Event ordering is `(time, sequence)`, and
+//! sequence numbers are handed out in the order the inputs arrived (frames
+//! in schedule order, controller bytes in send order), so runs are exactly
+//! reproducible.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
+use std::sync::{Arc, Weak};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
 
 use yanc_openflow::Version;
 
@@ -57,12 +60,37 @@ pub struct ControlHandle {
     /// Bytes from the switch (packet-ins, replies, async messages).
     pub rx: Receiver<Bytes>,
     /// Bytes to the switch (flow mods, packet-outs, requests).
-    pub tx: Sender<Bytes>,
+    pub tx: ControlTx,
+}
+
+/// The sending end of one switch's control channel. Every attached
+/// controller feeds the same network-wide queue, tagged by dpid and
+/// drained in send order, so a pump pays for the bytes that were sent and
+/// nothing for the channels that stayed idle.
+pub struct ControlTx {
+    dpid: u64,
+    queue: Sender<(u64, Bytes)>,
+    /// Dead once the network detaches this controller.
+    attached: Weak<()>,
+}
+
+impl ControlTx {
+    /// Queue `bytes` for the switch. Fails, handing them back, once the
+    /// controller has been detached (or the network is gone).
+    pub fn send(&self, bytes: Bytes) -> Result<(), SendError<Bytes>> {
+        if self.attached.strong_count() == 0 {
+            return Err(SendError(bytes));
+        }
+        self.queue
+            .send((self.dpid, bytes))
+            .map_err(|SendError((_, bytes))| SendError(bytes))
+    }
 }
 
 struct ControlWires {
     to_ctrl: Sender<Bytes>,
-    from_ctrl: Receiver<Bytes>,
+    /// The attachment itself: dropping it kills the handle's [`ControlTx`].
+    _attached: Arc<()>,
 }
 
 #[derive(Debug)]
@@ -111,10 +139,15 @@ pub struct Network {
     /// Hosts by id.
     pub hosts: BTreeMap<u64, SimHost>,
     links: Vec<Link>,
+    /// Endpoint → index of its link in `links`.
+    link_of: HashMap<Endpoint, usize>,
     queue: BinaryHeap<Reverse<Timed>>,
     now_us: u64,
     seq: u64,
-    control: HashMap<u64, ControlWires>,
+    control: BTreeMap<u64, ControlWires>,
+    /// Controller→switch bytes of every attached switch, in send order.
+    from_ctrl: Receiver<(u64, Bytes)>,
+    from_ctrl_tx: Sender<(u64, Bytes)>,
     /// Aggregate statistics.
     pub stats: NetStats,
     default_latency_us: u64,
@@ -129,14 +162,18 @@ impl Default for Network {
 impl Network {
     /// An empty network (default link latency 100µs).
     pub fn new() -> Self {
+        let (from_ctrl_tx, from_ctrl) = unbounded();
         Network {
             switches: BTreeMap::new(),
             hosts: BTreeMap::new(),
             links: Vec::new(),
+            link_of: HashMap::new(),
             queue: BinaryHeap::new(),
             now_us: 0,
             seq: 0,
-            control: HashMap::new(),
+            control: BTreeMap::new(),
+            from_ctrl,
+            from_ctrl_tx,
             stats: NetStats::default(),
             default_latency_us: 100,
         }
@@ -177,7 +214,18 @@ impl Network {
     }
 
     fn endpoint_in_use(&self, e: Endpoint) -> bool {
-        self.links.iter().any(|l| l.a == e || l.b == e)
+        self.link_of.contains_key(&e)
+    }
+
+    fn add_link(&mut self, a: Endpoint, b: Endpoint, latency_us: Option<u64>) {
+        self.link_of.insert(a, self.links.len());
+        self.link_of.insert(b, self.links.len());
+        self.links.push(Link {
+            a,
+            b,
+            latency_us: latency_us.unwrap_or(self.default_latency_us),
+            up: true,
+        });
     }
 
     /// Wire two switch ports together.
@@ -192,12 +240,7 @@ impl Network {
         };
         assert!(!self.endpoint_in_use(ea), "port {a:?} already linked");
         assert!(!self.endpoint_in_use(eb), "port {b:?} already linked");
-        self.links.push(Link {
-            a: ea,
-            b: eb,
-            latency_us: latency_us.unwrap_or(self.default_latency_us),
-            up: true,
-        });
+        self.add_link(ea, eb, latency_us);
         let fx1 = self
             .switches
             .get_mut(&a.0)
@@ -222,12 +265,7 @@ impl Network {
         };
         assert!(!self.endpoint_in_use(eh), "host {host} already attached");
         assert!(!self.endpoint_in_use(es), "port {sw:?} already linked");
-        self.links.push(Link {
-            a: eh,
-            b: es,
-            latency_us: latency_us.unwrap_or(self.default_latency_us),
-            up: true,
-        });
+        self.add_link(eh, es, latency_us);
         if let Some(s) = self.switches.get_mut(&sw.0) {
             let fx = s.set_link_state(sw.1, false);
             self.route_effects(sw.0, fx);
@@ -237,21 +275,17 @@ impl Network {
     /// Set a link's carrier state (simulating fiber cuts). Affected switch
     /// ports report PortStatus to their controllers.
     pub fn set_link_up(&mut self, a: Endpoint, up: bool) {
-        let mut notify: Vec<(u64, u16)> = Vec::new();
-        for l in &mut self.links {
-            if l.a == a || l.b == a {
-                l.up = up;
-                for e in [l.a, l.b] {
-                    if let Endpoint::Switch { dpid, port } = e {
-                        notify.push((dpid, port));
-                    }
+        let Some(&i) = self.link_of.get(&a) else {
+            return;
+        };
+        let l = &mut self.links[i];
+        l.up = up;
+        for e in [l.a, l.b] {
+            if let Endpoint::Switch { dpid, port } = e {
+                if let Some(s) = self.switches.get_mut(&dpid) {
+                    let fx = s.set_link_state(port, !up);
+                    self.route_effects(dpid, fx);
                 }
-            }
-        }
-        for (dpid, port) in notify {
-            if let Some(s) = self.switches.get_mut(&dpid) {
-                let fx = s.set_link_state(port, !up);
-                self.route_effects(dpid, fx);
             }
         }
     }
@@ -264,15 +298,16 @@ impl Network {
     /// Attach a controller to a switch: returns the driver-side handle and
     /// kicks off the switch's HELLO.
     pub fn attach_controller(&mut self, dpid: u64) -> ControlHandle {
-        let (to_ctrl_tx, to_ctrl_rx) = unbounded();
-        let (from_ctrl_tx, from_ctrl_rx) = unbounded();
-        self.control.insert(
+        self.detach_controller(dpid);
+        let (to_ctrl, to_ctrl_rx) = unbounded();
+        let _attached = Arc::new(());
+        let tx = ControlTx {
             dpid,
-            ControlWires {
-                to_ctrl: to_ctrl_tx,
-                from_ctrl: from_ctrl_rx,
-            },
-        );
+            queue: self.from_ctrl_tx.clone(),
+            attached: Arc::downgrade(&_attached),
+        };
+        self.control
+            .insert(dpid, ControlWires { to_ctrl, _attached });
         let fx = self
             .switches
             .get_mut(&dpid)
@@ -282,13 +317,20 @@ impl Network {
         ControlHandle {
             dpid,
             rx: to_ctrl_rx,
-            tx: from_ctrl_tx,
+            tx,
         }
     }
 
-    /// Detach the controller (simulates controller failure).
+    /// Detach the controller (simulates controller failure). Bytes it sent
+    /// that no pump has delivered yet die with the channel.
     pub fn detach_controller(&mut self, dpid: u64) {
-        self.control.remove(&dpid);
+        if self.control.remove(&dpid).is_none() {
+            return;
+        }
+        let kept: Vec<_> = self.from_ctrl.try_iter().filter(|m| m.0 != dpid).collect();
+        for m in kept {
+            let _ = self.from_ctrl_tx.send(m);
+        }
     }
 
     fn schedule(&mut self, delay_us: u64, ev: Ev) {
@@ -301,15 +343,9 @@ impl Network {
     }
 
     fn peer_of(&self, e: Endpoint) -> Option<(Endpoint, u64, bool)> {
-        for l in &self.links {
-            if l.a == e {
-                return Some((l.b, l.latency_us, l.up));
-            }
-            if l.b == e {
-                return Some((l.a, l.latency_us, l.up));
-            }
-        }
-        None
+        let l = &self.links[*self.link_of.get(&e)?];
+        let far = if l.a == e { l.b } else { l.a };
+        Some((far, l.latency_us, l.up))
     }
 
     fn route_effects(&mut self, dpid: u64, effects: Vec<Effect>) {
@@ -393,23 +429,16 @@ impl Network {
         );
     }
 
-    /// Drain controller→switch bytes. Returns whether anything moved.
+    /// Drain controller→switch bytes, in the order they were sent. Returns
+    /// whether anything moved.
     fn drain_control(&mut self) -> bool {
         let mut moved = false;
-        let dpids: Vec<u64> = self.control.keys().copied().collect();
-        for dpid in dpids {
-            while let Some(bytes) = self
-                .control
-                .get(&dpid)
-                .and_then(|w| w.from_ctrl.try_recv().ok())
-            {
-                moved = true;
-                self.stats.control_deliveries += 1;
-                let now_s = self.now_s();
-                let fx = match self.switches.get_mut(&dpid) {
-                    Some(s) => s.handle_control_bytes(&bytes, now_s),
-                    None => continue,
-                };
+        while let Ok((dpid, bytes)) = self.from_ctrl.try_recv() {
+            moved = true;
+            self.stats.control_deliveries += 1;
+            let now_s = self.now_s();
+            if let Some(s) = self.switches.get_mut(&dpid) {
+                let fx = s.handle_control_bytes(&bytes, now_s);
                 self.route_effects(dpid, fx);
             }
         }
@@ -421,12 +450,7 @@ impl Network {
     /// bytes. Reads queue lengths only — free, so an event-driven runtime
     /// can skip an idle network entirely.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
-            + self
-                .control
-                .values()
-                .map(|w| w.from_ctrl.len())
-                .sum::<usize>()
+        self.queue.len() + self.from_ctrl.len()
     }
 
     /// Process every due event and any controller bytes, repeatedly, until
@@ -654,6 +678,97 @@ mod tests {
         assert_eq!(net.switches[&1].flow_count(), 2);
         net.advance(10);
         assert_eq!(net.switches[&1].flow_count(), 1);
+    }
+
+    /// Four leaves behind one hub, one packet-out queued on every leaf
+    /// before a single pump: the frames reach the host behind the hub in
+    /// the order the controller sent them — every time, in one process.
+    #[test]
+    fn simultaneous_controller_bytes_are_scheduled_in_send_order() {
+        let arrivals = || {
+            let mut net = Network::new();
+            let host = net.add_host("h", ip("10.0.0.9"));
+            net.add_switch(9, "hub", 5, 1, vec![Version::V1_0]);
+            net.attach_host(host, (9, 5), None);
+            let mac = net.hosts[&host].mac;
+            let hello = || encode(Version::V1_0, &Message::Hello, 1).unwrap();
+            let hub = net.attach_controller(9);
+            hub.tx.send(hello()).unwrap();
+            let to_host = FlowMod::add(FlowMatch::any(), 1, vec![Action::out(5)]);
+            let to_host = Message::FlowMod(to_host);
+            hub.tx
+                .send(encode(Version::V1_0, &to_host, 2).unwrap())
+                .unwrap();
+            let mut leaves = Vec::new();
+            for d in 1..=4u16 {
+                net.add_switch(d as u64, &format!("leaf{d}"), 1, 1, vec![Version::V1_0]);
+                net.link_switches((d as u64, 1), (9, d), None);
+                let ctl = net.attach_controller(d as u64);
+                ctl.tx.send(hello()).unwrap();
+                leaves.push(ctl);
+            }
+            net.pump();
+            for (d, ctl) in (1..=4u16).zip(&leaves) {
+                let out = Message::PacketOut {
+                    buffer_id: None,
+                    in_port: yanc_openflow::port_no::NONE,
+                    actions: vec![Action::out(1)],
+                    data: yanc_packet::build_udp(
+                        yanc_packet::MacAddr::from_seed(d as u64),
+                        mac,
+                        ip("10.0.0.1"),
+                        ip("10.0.0.9"),
+                        d,
+                        7,
+                        Bytes::new(),
+                    ),
+                };
+                ctl.tx
+                    .send(encode(Version::V1_0, &out, 3).unwrap())
+                    .unwrap();
+            }
+            net.pump();
+            let got: Vec<u16> = net.hosts[&host]
+                .udp_received
+                .iter()
+                .map(|u| u.src_port)
+                .collect();
+            got
+        };
+        for _ in 0..16 {
+            assert_eq!(arrivals(), [1, 2, 3, 4]);
+        }
+    }
+
+    /// Bytes a controller sent before it was detached, and anything it
+    /// tries to send afterwards, never reach the switch — not even once a
+    /// new controller is attached to the same dpid.
+    #[test]
+    fn detached_controller_bytes_never_arrive() {
+        let (mut net, old, _h1, _h2) = flood_net();
+        let flow = |tp_dst| {
+            let m = FlowMatch {
+                tp_dst: Some(tp_dst),
+                ..Default::default()
+            };
+            encode(
+                Version::V1_0,
+                &Message::FlowMod(FlowMod::add(m, 9, vec![])),
+                3,
+            )
+            .unwrap()
+        };
+        old.tx.send(flow(22)).unwrap();
+        assert_eq!(net.pending_events(), 1);
+        net.detach_controller(1);
+        assert_eq!(net.pending_events(), 0);
+        assert!(old.tx.send(flow(23)).is_err());
+        let new = net.attach_controller(1);
+        assert!(old.tx.send(flow(24)).is_err());
+        new.tx.send(flow(25)).unwrap();
+        net.pump();
+        // The flood flow from `flood_net` plus the new controller's one.
+        assert_eq!(net.switches[&1].flow_count(), 2);
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! side, [`Filesystem::update_inode`] on the write side — so the
 //! resolve → lock → re-verify → act protocol is written once.
 
+use std::borrow::Cow;
+
 use super::walk::permits;
 use super::Filesystem;
 use crate::acl::Acl;
@@ -133,29 +135,30 @@ impl Filesystem {
 
     /// The one write-side skeleton: resolve `vp` (following symlinks),
     /// write-lock the inode's shard, re-verify it still exists (retry from
-    /// resolution otherwise), let `apply` authorize and mutate it at a
-    /// fresh tick, journal the record it returns — still under the lock, so
-    /// the log is a linearization of the tree — and emit `event` after
-    /// release. `retire`: the change alters what dentries snapshot of this
-    /// inode (its permission bits), so they are retired while the shard
-    /// lock is still held.
-    fn update_inode(
+    /// resolution otherwise), let `plan` authorize the change against the
+    /// inode as it stands and describe it as a record at a fresh tick,
+    /// commit that record — still under the lock, so the log is a
+    /// linearization of the tree — and emit `event` after release.
+    /// `retire`: the change alters what dentries snapshot of this inode
+    /// (its permission bits), so they are retired while the shard lock is
+    /// still held.
+    fn update_inode<'r>(
         &self,
         vp: &VPath,
         creds: &Credentials,
         event: EventKind,
         retire: bool,
-        apply: impl Fn(Ino, &mut Inode, Timestamp) -> VfsResult<Record>,
+        plan: impl Fn(Ino, &Inode, Timestamp) -> VfsResult<Record<'r>>,
     ) -> VfsResult<()> {
         self.validate_mutation(vp)?;
         loop {
             let ino = self.lookup_live(vp, creds, true)?;
             let mut set = self.tables.lock(&[LockKey::Ino(ino)]);
-            let Ok(node) = set.inode_mut(ino) else {
+            let Ok(node) = set.inode(ino) else {
                 continue;
             };
-            let rec = apply(ino, node, self.clock.tick())?;
-            self.jrnl(vp.as_str(), || rec);
+            let rec = plan(ino, node, self.clock.tick())?;
+            self.commit(&mut set, vp.as_str(), &rec);
             if retire {
                 self.bump_gen(ino);
             }
@@ -177,9 +180,7 @@ impl Filesystem {
             if !creds.is_root() && creds.uid != node.uid {
                 return err(Errno::EPERM, vp.as_str());
             }
-            node.mode = Mode(mode.0 & 0o7777);
-            node.ctime = tick;
-            let mode = node.mode;
+            let mode = Mode(mode.0 & 0o7777);
             Ok(Record::SetMode { ino, mode, tick })
         })
     }
@@ -200,17 +201,14 @@ impl Filesystem {
                 if !creds.is_root() && u != node.uid {
                     return err(Errno::EPERM, vp.as_str());
                 }
-                node.uid = u;
             }
             if let Some(g) = gid {
                 #[allow(clippy::nonminimal_bool)] // the spelled-out form mirrors POSIX wording
                 if !creds.is_root() && !(creds.uid == node.uid && creds.in_group(g)) {
                     return err(Errno::EPERM, vp.as_str());
                 }
-                node.gid = g;
             }
-            node.ctime = tick;
-            let (uid, gid) = (node.uid, node.gid);
+            let (uid, gid) = (uid.unwrap_or(node.uid), gid.unwrap_or(node.gid));
             Ok(Record::SetOwner {
                 ino,
                 uid,
@@ -229,13 +227,8 @@ impl Filesystem {
             if !creds.is_root() && creds.uid != node.uid {
                 return err(Errno::EPERM, vp.as_str());
             }
-            node.acl = acl.clone();
-            node.ctime = tick;
-            Ok(Record::SetAcl {
-                ino,
-                acl: acl.clone(),
-                tick,
-            })
+            let acl = acl.as_ref().map(Cow::Borrowed);
+            Ok(Record::SetAcl { ino, acl, tick })
         })
     }
 
@@ -267,12 +260,10 @@ impl Filesystem {
             if !permits(node, creds, Access::Write) {
                 return err(Errno::EACCES, vp.as_str());
             }
-            node.xattrs.insert(name.to_string(), value.to_vec());
-            node.ctime = tick;
             Ok(Record::SetXattr {
                 ino,
-                name: name.to_string(),
-                value: value.to_vec(),
+                name,
+                value,
                 tick,
             })
         })
@@ -305,15 +296,10 @@ impl Filesystem {
             if !permits(node, creds, Access::Write) {
                 return err(Errno::EACCES, vp.as_str());
             }
-            if node.xattrs.remove(name).is_none() {
+            if !node.xattrs.contains_key(name) {
                 return err(Errno::ENODATA, format!("{path}#{name}"));
             }
-            node.ctime = tick;
-            Ok(Record::RemoveXattr {
-                ino,
-                name: name.to_string(),
-                tick,
-            })
+            Ok(Record::RemoveXattr { ino, name, tick })
         })
     }
 
@@ -328,13 +314,11 @@ impl Filesystem {
             if len > self.limits.max_file_size {
                 return err(Errno::ENOSPC, vp.as_str());
             }
-            match &mut node.kind {
-                NodeKind::File(d) => d.resize(len as usize, 0),
-                NodeKind::Dir { .. } => return err(Errno::EISDIR, vp.as_str()),
-                NodeKind::Symlink(_) => return err(Errno::EINVAL, vp.as_str()),
+            match node.kind {
+                NodeKind::File(_) => Ok(Record::Truncate { ino, len, tick }),
+                NodeKind::Dir { .. } => err(Errno::EISDIR, vp.as_str()),
+                NodeKind::Symlink(_) => err(Errno::EINVAL, vp.as_str()),
             }
-            node.mtime = tick;
-            Ok(Record::Truncate { ino, len, tick })
         })
     }
 }

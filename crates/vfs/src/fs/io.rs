@@ -6,7 +6,7 @@
 //! lock-free identity read, one charge) and every positional/sequential
 //! pair shares one body ([`Filesystem::read_at`], [`Filesystem::write_at`]).
 
-use super::tree::dir_snapshot;
+use super::tree::{dir_snapshot, NewNode};
 use super::walk::DirAnchor;
 use super::{Filesystem, PendingEvent, PendingHook};
 use crate::counter::OpKind;
@@ -16,7 +16,7 @@ use crate::notify::EventKind;
 use crate::path::{valid_name, VPath};
 use crate::readpath::{HandleMeta, HandleRead};
 use crate::shard::{Inode, LockKey, NodeKind, OpenFile, ShardSet, Tables};
-use crate::types::{Access, Credentials, DirEntry, Fd, FileStat, Mode, OpenFlags};
+use crate::types::{Access, Credentials, DirEntry, Fd, FileStat, OpenFlags};
 
 /// RAII reservation of one slot in the global open-handle table. Keeps the
 /// `ENFILE` bound exact without a cross-shard pass: the slot is taken up
@@ -200,29 +200,18 @@ impl Filesystem {
                         return err(Errno::EACCES, vp.as_str());
                     }
                     if flags.truncate && flags.write && truncate_ok {
-                        let now = self.clock.tick();
-                        let node = set.inode_mut(ino)?;
-                        if let NodeKind::File(d) = &mut node.kind {
-                            if !d.is_empty() {
-                                d.clear();
-                                node.mtime = now;
-                                modified = true;
-                            }
-                        }
-                        if modified {
-                            self.jrnl(vp.as_str(), || Record::Truncate {
-                                ino,
-                                len: 0,
-                                tick: now,
-                            });
+                        let tick = self.clock.tick();
+                        if matches!(&set.inode(ino)?.kind, NodeKind::File(d) if !d.is_empty()) {
+                            let rec = Record::Truncate { ino, len: 0, tick };
+                            self.commit(&mut set, vp.as_str(), &rec);
+                            modified = true;
                         }
                     }
                     (set, ino, None, modified)
                 }
                 None => {
-                    let kind = NodeKind::File(Vec::new());
                     let also = Some(LockKey::Fd(id));
-                    match self.create_in(&r, kind, Mode::FILE_DEFAULT, creds, also)? {
+                    match self.create_in(&r, NewNode::File(&[]), creds, also)? {
                         Some((set, ino, created)) => (set, ino, Some(created), false),
                         None => continue, // lost the create race: re-resolve
                     }
@@ -300,17 +289,7 @@ impl Filesystem {
         let h = set.remove_handle(fd)?;
         self.readpath.close_handle(fd);
         self.rctl.release_open(h.owner.0);
-        // The inode may already be gone: rmdir removes an open directory's
-        // inode outright (directories have no orphan keep-alive). Closing
-        // such a descriptor is not an error.
-        let mut dropped = false;
-        if let Ok(node) = set.inode_mut(h.ino) {
-            node.open_count -= 1;
-            if node.nlink == 0 && node.open_count == 0 {
-                set.remove_inode(h.ino);
-                dropped = true;
-            }
-        }
+        let dropped = Self::unpin(set, h.ino);
         Some((h, dropped))
     }
 
@@ -385,8 +364,8 @@ impl Filesystem {
         self.write_at(fd, Some(offset), data)
     }
 
-    /// The one write body: resize, copy, journal, notify. `pos` set:
-    /// positional, the handle's offset stays put. `pos` unset: at the
+    /// The one write body: place the write, bound it, commit its record,
+    /// notify. `pos` set: positional, the handle's offset stays put. `pos` unset: at the
     /// handle's offset (end of file with `append`), which advances past
     /// the written bytes. A directory descriptor is `EISDIR`.
     fn write_at(&self, fd: Fd, pos: Option<u64>, data: &[u8]) -> VfsResult<usize> {
@@ -402,37 +381,31 @@ impl Filesystem {
                 Some(h) => h.offset,
                 None => return err(Errno::EBADF, "fd"), // closed concurrently
             };
-            let node = set.inode_mut(ino)?;
-            let NodeKind::File(d) = &mut node.kind else {
+            let NodeKind::File(d) = &set.inode(ino)?.kind else {
                 return err(Errno::EISDIR, "fd");
             };
-            let off = match pos {
+            let offset = match pos {
                 Some(off) => off,
                 None if meta.flags.append => d.len() as u64,
                 None => h_off,
             };
-            let end = off as usize + data.len();
-            if end as u64 > self.limits.max_file_size {
-                return err(Errno::ENOSPC, "fd");
-            }
-            let now = self.clock.tick();
-            if d.len() < end {
-                d.resize(end, 0);
-            }
-            d[off as usize..end].copy_from_slice(data);
-            node.mtime = now;
+            let end = match offset.checked_add(data.len() as u64) {
+                Some(end) if end <= self.limits.max_file_size => end,
+                _ => return err(Errno::ENOSPC, "fd"),
+            };
             let h = set.handle_mut(fd.0).expect("handle verified above");
             if pos.is_none() {
-                h.offset = end as u64;
+                h.offset = end;
             }
             h.wrote = true;
             path = h.path.clone();
-            self.jrnl(path.as_str(), || Record::Write {
+            let rec = Record::Write {
                 ino,
-                offset: off,
-                data: data.to_vec(),
-                tick: now,
-            });
+                offset,
+                data,
+                tick: self.clock.tick(),
+            };
+            self.commit(&mut set, path.as_str(), &rec);
         }
         self.notify.emit(EventKind::Modify, &path, None);
         Ok(data.len())
@@ -623,17 +596,12 @@ impl Filesystem {
                     if !Self::may_access_set(&set, ino, creds, Access::Write) {
                         return err(Errno::EACCES, full.as_str());
                     }
-                    let now = self.clock.tick();
-                    let node = set.inode_mut(ino)?;
-                    if let NodeKind::File(d) = &mut node.kind {
-                        *d = data.to_vec();
-                        node.mtime = now;
-                    }
-                    self.jrnl(full.as_str(), || Record::SetContent {
+                    let rec = Record::SetContent {
                         ino,
-                        data: data.to_vec(),
-                        tick: now,
-                    });
+                        data,
+                        tick: self.clock.tick(),
+                    };
+                    self.commit(&mut set, full.as_str(), &rec);
                     drop(set);
                     events.push((EventKind::Modify, full.clone(), None));
                 }
@@ -642,9 +610,8 @@ impl Filesystem {
                         return err(Errno::EINVAL, rel);
                     }
                     self.validate_with_hooks(|h| h.validate_create(self, &full))?;
-                    let kind = NodeKind::File(data.to_vec());
                     if self
-                        .create_in(&r, kind, Mode::FILE_DEFAULT, creds, None)?
+                        .create_in(&r, NewNode::File(data), creds, None)?
                         .is_none()
                     {
                         continue; // lost the create race: re-resolve

@@ -23,17 +23,21 @@
 //!
 //! Every operation has one body, working on an already-identified inode or
 //! descriptor; the path-addressed and `*at` entry points only charge,
-//! resolve and call it. The `impl Filesystem` is split by seam: this file
+//! resolve and call it. And every body that changes the tree does so by
+//! committing a journal record through the one mutator (`mutate`; do =
+//! redo, DESIGN.md §10). The `impl Filesystem` is split by seam: this file
 //! (struct, [`FsBuilder`], accessors, hook plumbing, watch builder/guard),
 //! `account` (syscall charging, rctl, reclaim), `walk` (path resolution +
 //! dcache fill), `io` (open-file table and data I/O), `attr` (`stat` and
 //! attribute readers/mutators), `tree` (namespace operations and the one
-//! entry-insert helper), `procfs` (`mount_proc`), `check` (the audit).
+//! object-creation body), `mutate` (the one mutator and the commit point),
+//! `procfs` (`mount_proc`), `check` (the audit).
 
 mod account;
 mod attr;
 mod check;
 mod io;
+mod mutate;
 mod procfs;
 mod tree;
 mod walk;

@@ -1,7 +1,8 @@
 //! Namespace operations: everything that adds, removes or moves a
 //! directory entry (`mkdir`/`rmdir`/`symlink`/`link`/`unlink`/`rename`),
-//! the directory listing, and the shared helpers every entry insert and
-//! object creation goes through.
+//! the directory listing, and the one object-creation body. Each op
+//! resolves, locks, re-verifies and authorizes, then commits a
+//! [`Record`] through the one mutator (see `mutate`).
 
 use super::walk::{DirAnchor, Resolved};
 use super::{Filesystem, PendingEvent, PendingHook, LINK_MAX};
@@ -11,7 +12,15 @@ use crate::journal::Record;
 use crate::notify::EventKind;
 use crate::path::{valid_name, VPath, PATH_MAX};
 use crate::shard::{Inode, LockKey, NodeKind, ShardSet};
-use crate::types::{Access, Credentials, DirEntry, Fd, FileType, Ino, Mode, Timestamp, ROOT_INO};
+use crate::types::{Access, Credentials, DirEntry, Fd, FileType, Ino, Mode, ROOT_INO};
+
+/// What [`Filesystem::create_in`] is to create, borrowing its payload from
+/// the caller the way the creation record will.
+pub(super) enum NewNode<'a> {
+    Dir(Mode),
+    File(&'a [u8]),
+    Symlink(&'a str),
+}
 
 impl Filesystem {
     // ----------------------------------------------------------------
@@ -19,60 +28,40 @@ impl Filesystem {
     // ----------------------------------------------------------------
 
     /// `EDQUOT` when the directory `dir` is at
-    /// [`super::Limits::max_dir_entries`] — the one place the cap is compared.
-    fn dir_has_room(&self, dir: &Inode, dir_path: &VPath) -> VfsResult<()> {
-        if dir.dir_entries()?.len() >= self.limits.max_dir_entries {
+    /// [`super::Limits::max_dir_entries`] — the one place the cap is
+    /// compared. Every op that binds a *new* name checks it before building
+    /// its record; rebinding an existing name (rename-replace) and moving
+    /// within one directory do not grow the directory.
+    fn dir_has_room(&self, set: &ShardSet, dir: Ino, dir_path: &VPath) -> VfsResult<()> {
+        if set.inode(dir)?.dir_entries()?.len() >= self.limits.max_dir_entries {
             return err(Errno::EDQUOT, dir_path.as_str());
         }
         Ok(())
     }
 
-    /// The one place a directory gains (or rebinds) an entry: `name` in
-    /// `dir` now points at `child`. A new name must fit under the entry cap
-    /// (`EDQUOT`); rebinding an existing one (rename-replace) does not
-    /// grow the directory. The caller holds `dir`'s shard write-locked and
-    /// has re-verified the binding it resolved.
-    fn add_entry(
-        &self,
-        set: &mut ShardSet,
-        dir: Ino,
-        dir_path: &VPath,
-        name: &str,
-        child: Ino,
-        now: Timestamp,
-    ) -> VfsResult<()> {
-        let node = set.inode_mut(dir)?;
-        if !node.dir_entries()?.contains_key(name) {
-            self.dir_has_room(node, dir_path)?;
-        }
-        node.dir_entries_mut()?.insert(name.to_string(), child);
-        node.mtime = now;
-        Ok(())
-    }
-
     /// The one object-creation body behind `mkdir`/`mkdirat`,
     /// `open(O_CREAT)`, `write_batch_at` and `symlink`: fill the free slot
-    /// `r` resolved with a new inode of `kind`. Allocates the inode number
-    /// and write-locks its shard together with the parent's (and `also`,
-    /// for an open that installs a handle under the same locks), then
-    /// re-verifies the slot is still free — `Ok(None)` when a concurrent
-    /// create took it, and the caller retries from resolution — checks
-    /// Write on the parent (`EACCES`), binds the entry (`EDQUOT`), journals
-    /// the creation, and retires the parent's dentries, all under the
-    /// locks. Returns the still-held locks, the new inode and its path.
+    /// `r` resolved with the object `new` describes. Allocates the inode
+    /// number and write-locks its shard together with the parent's (and
+    /// `also`, for an open that installs a handle under the same locks),
+    /// then re-verifies the slot is still free — `Ok(None)` when a
+    /// concurrent create took it, and the caller retries from resolution —
+    /// checks Write on the parent (`EACCES`) and the entry cap (`EDQUOT`),
+    /// commits the creation record, and retires the parent's dentries, all
+    /// under the locks. Returns the still-held locks, the new inode and
+    /// its path.
     pub(super) fn create_in(
         &self,
         r: &Resolved,
-        kind: NodeKind,
-        mode: Mode,
+        new: NewNode,
         creds: &Credentials,
         also: Option<LockKey>,
     ) -> VfsResult<Option<(ShardSet<'_>, Ino, VPath)>> {
         let (parent, ino) = (r.parent_ino, self.tables.alloc_ino());
-        let new = LockKey::Ino(ino);
+        let key = LockKey::Ino(ino);
         let mut set = self
             .tables
-            .lock(&[LockKey::Ino(parent), new, also.unwrap_or(new)]);
+            .lock(&[LockKey::Ino(parent), key, also.unwrap_or(key)]);
         if !set.entry_is(parent, &r.name, None) {
             return Ok(None);
         }
@@ -80,11 +69,11 @@ impl Filesystem {
             return err(Errno::EACCES, r.parent_path.as_str());
         }
         let tick = self.clock.tick();
-        self.add_entry(&mut set, parent, &r.parent_path, &r.name, ino, tick)?;
+        self.dir_has_room(&set, parent, &r.parent_path)?;
         let full = r.parent_path.join(&r.name);
-        let (name, uid, gid) = (r.name.clone(), creds.uid, creds.gid);
-        self.jrnl(full.as_str(), || match &kind {
-            NodeKind::Dir { .. } => Record::Mkdir {
+        let (name, uid, gid) = (r.name.as_str(), creds.uid, creds.gid);
+        let rec = match new {
+            NewNode::Dir(mode) => Record::Mkdir {
                 parent,
                 name,
                 ino,
@@ -93,29 +82,26 @@ impl Filesystem {
                 gid,
                 tick,
             },
-            NodeKind::File(data) => Record::Create {
+            NewNode::File(data) => Record::Create {
                 parent,
                 name,
                 ino,
                 uid,
                 gid,
-                data: data.clone(),
+                data,
                 tick,
             },
-            NodeKind::Symlink(target) => Record::Symlink {
+            NewNode::Symlink(target) => Record::Symlink {
                 parent,
                 name,
                 ino,
-                target: target.clone(),
+                target,
                 uid,
                 gid,
                 tick,
             },
-        });
-        if matches!(kind, NodeKind::Dir { .. }) {
-            set.inode_mut(parent)?.nlink += 1;
-        }
-        set.insert_inode(ino, Inode::new(kind, mode, uid, gid, tick));
+        };
+        self.commit(&mut set, full.as_str(), &rec);
         self.bump_gen(parent);
         Ok(Some((set, ino, full)))
     }
@@ -169,10 +155,8 @@ impl Filesystem {
             if r.target.is_some() {
                 return err(Errno::EEXIST, vp.as_str());
             }
-            let kind = NodeKind::dir(r.parent_ino);
-            if let Some((_, _, full)) =
-                self.create_in(&r, kind, Mode(mode.0 & 0o7777), creds, None)?
-            {
+            let new = NewNode::Dir(Mode(mode.0 & 0o7777));
+            if let Some((_, _, full)) = self.create_in(&r, new, creds, None)? {
                 break full;
             }
         };
@@ -243,27 +227,21 @@ impl Filesystem {
                 return err(Errno::ENOTEMPTY, vp.as_str());
             }
             let full = r.parent_path.join(&r.name);
-            if !empty {
-                self.remove_tree(&mut set, ino, &full, &mut events)?;
-            }
-            let parent = set.inode_mut(r.parent_ino)?;
-            parent.dir_entries_mut()?.remove(&r.name);
-            parent.nlink -= 1;
-            let now = self.clock.tick();
-            parent.mtime = now;
-            set.remove_inode(ino);
-            self.jrnl(full.as_str(), || {
-                let (parent, name, tick) = (r.parent_ino, r.name.clone(), now);
-                if empty {
-                    Record::Rmdir { parent, name, tick }
-                } else {
-                    Record::RmTree { parent, name, tick }
-                }
-            });
-            // Retire the removed directory's (negative) dentries as well as
-            // its entry under the parent.
-            self.bump_gen(r.parent_ino);
-            self.bump_gen(ino);
+            // The record destroys the subtree it names, so what watchers
+            // and the dentry cache must hear about it is gathered first.
+            let mut dirs = Vec::new();
+            Self::doomed(&set, ino, &full, &mut events, &mut dirs)?;
+            let (parent, name, tick) = (r.parent_ino, r.name.as_str(), self.clock.tick());
+            let rec = if empty {
+                Record::Rmdir { parent, name, tick }
+            } else {
+                Record::RmTree { parent, name, tick }
+            };
+            self.commit(&mut set, full.as_str(), &rec);
+            // Retire the removed directories' (negative) dentries as well
+            // as the entry under the parent.
+            self.bump_gen(parent);
+            dirs.into_iter().for_each(|d| self.bump_gen(d));
             events.push((EventKind::DeleteSelf, full.clone(), None));
             events.push((EventKind::Delete, full, Some(r.name)));
             break events;
@@ -272,38 +250,24 @@ impl Filesystem {
         Ok(())
     }
 
-    /// Remove everything under `ino` (which stays in place), bottom-up,
-    /// accumulating Delete events. Requires a lock-all [`ShardSet`].
-    fn remove_tree(
-        &self,
-        set: &mut ShardSet,
+    /// What removing the directory `ino` (at `path`) will take with it:
+    /// one `Delete` event per object under it, children before their
+    /// directory, and every directory whose dentries die, `ino` included.
+    /// Read-only; a non-empty `ino` requires a lock-all [`ShardSet`].
+    fn doomed(
+        set: &ShardSet,
         ino: Ino,
         path: &VPath,
         events: &mut Vec<PendingEvent>,
+        dirs: &mut Vec<Ino>,
     ) -> VfsResult<()> {
-        // Every dentry keyed under this directory dies with its contents.
-        self.bump_gen(ino);
-        for (name, child) in dir_snapshot(set.inode(ino)?)? {
-            let cpath = path.join(&name);
-            let is_dir = matches!(set.inode(child)?.kind, NodeKind::Dir { .. });
-            if is_dir {
-                self.remove_tree(set, child, &cpath, events)?;
-                set.remove_inode(child);
-                let node = set.inode_mut(ino)?;
-                node.nlink -= 1;
-                node.dir_entries_mut()?.remove(&name);
-            } else {
-                let open = {
-                    let cn = set.inode_mut(child)?;
-                    cn.nlink = cn.nlink.saturating_sub(1);
-                    cn.nlink > 0 || cn.open_count > 0
-                };
-                if !open {
-                    set.remove_inode(child);
-                }
-                set.inode_mut(ino)?.dir_entries_mut()?.remove(&name);
+        dirs.push(ino);
+        for (name, child) in set.inode(ino)?.dir_entries()? {
+            let cpath = path.join(name);
+            if matches!(set.inode(*child)?.kind, NodeKind::Dir { .. }) {
+                Self::doomed(set, *child, &cpath, events, dirs)?;
             }
-            events.push((EventKind::Delete, cpath, Some(name)));
+            events.push((EventKind::Delete, cpath, Some(name.clone())));
         }
         Ok(())
     }
@@ -365,8 +329,7 @@ impl Filesystem {
             if r.target.is_some() {
                 return err(Errno::EEXIST, vp.as_str());
             }
-            let kind = NodeKind::Symlink(target.to_string());
-            if let Some((_, _, full)) = self.create_in(&r, kind, Mode::SYMLINK, creds, None)? {
+            if let Some((_, _, full)) = self.create_in(&r, NewNode::Symlink(target), creds, None)? {
                 break full;
             }
         };
@@ -435,18 +398,16 @@ impl Filesystem {
             if !Self::may_access_set(&set, r.parent_ino, creds, Access::Write) {
                 return err(Errno::EACCES, r.parent_path.as_str());
             }
-            let now = self.clock.tick();
-            self.add_entry(&mut set, r.parent_ino, &r.parent_path, &r.name, src, now)?;
-            let node = set.inode_mut(src)?;
-            node.nlink += 1;
-            node.ctime = now;
+            let tick = self.clock.tick();
+            self.dir_has_room(&set, r.parent_ino, &r.parent_path)?;
             let full = r.parent_path.join(&r.name);
-            self.jrnl(full.as_str(), || Record::Link {
+            let rec = Record::Link {
                 parent: r.parent_ino,
-                name: r.name.clone(),
+                name: &r.name,
                 ino: src,
-                tick: now,
-            });
+                tick,
+            };
+            self.commit(&mut set, full.as_str(), &rec);
             self.bump_gen(r.parent_ino);
             break full;
         };
@@ -489,24 +450,17 @@ impl Filesystem {
             if !Self::sticky_ok_set(&set, r.parent_ino, ino, creds) {
                 return err(Errno::EPERM, vp.as_str());
             }
-            let now = self.clock.tick();
-            let parent = set.inode_mut(r.parent_ino)?;
-            parent.dir_entries_mut()?.remove(&r.name);
-            parent.mtime = now;
             let full = r.parent_path.join(&r.name);
-            let node = set.inode_mut(ino)?;
-            node.nlink -= 1;
-            node.ctime = now;
-            let gone = node.nlink == 0 && node.open_count == 0;
-            if gone {
-                set.remove_inode(ino);
+            let rec = Record::Unlink {
+                parent: r.parent_ino,
+                name: &r.name,
+                tick: self.clock.tick(),
+            };
+            self.commit(&mut set, full.as_str(), &rec);
+            // Gone unless another link or an open descriptor still holds it.
+            if set.inode(ino).is_err() {
                 events.push((EventKind::DeleteSelf, full.clone(), None));
             }
-            self.jrnl(full.as_str(), || Record::Unlink {
-                parent: r.parent_ino,
-                name: r.name.clone(),
-                tick: now,
-            });
             self.bump_gen(r.parent_ino);
             events.push((EventKind::Delete, full, Some(r.name)));
             break events;
@@ -611,12 +565,12 @@ impl Filesystem {
             }
 
             // Only a cross-directory move to a fresh name grows the
-            // destination directory; check the cap before mutating anything.
+            // destination directory.
             if rt.target.is_none() && rf.parent_ino != rt.parent_ino {
-                self.dir_has_room(set.inode(rt.parent_ino)?, &rt.parent_path)?;
+                self.dir_has_room(&set, rt.parent_ino, &rt.parent_path)?;
             }
 
-            // Handle an existing destination.
+            // An existing destination is replaced when the kinds agree.
             if let Some(dst) = rt.target {
                 if dst == src {
                     return Ok(()); // hard links to the same inode: no-op
@@ -625,47 +579,22 @@ impl Filesystem {
                 match (src_is_dir, dst_is_dir) {
                     (true, false) => return err(Errno::ENOTDIR, vt.as_str()),
                     (false, true) => return err(Errno::EISDIR, vt.as_str()),
-                    (true, true) => {
-                        if !set.inode(dst)?.dir_entries()?.is_empty() {
-                            return err(Errno::ENOTEMPTY, vt.as_str());
-                        }
-                        set.inode_mut(rt.parent_ino)?.nlink -= 1;
-                        set.remove_inode(dst);
+                    (true, true) if !set.inode(dst)?.dir_entries()?.is_empty() => {
+                        return err(Errno::ENOTEMPTY, vt.as_str());
                     }
-                    (false, false) => {
-                        let node = set.inode_mut(dst)?;
-                        node.nlink -= 1;
-                        if node.nlink == 0 && node.open_count == 0 {
-                            set.remove_inode(dst);
-                        }
-                    }
+                    _ => {}
                 }
                 events.push((EventKind::Delete, dst_full.clone(), Some(rt.name.clone())));
             }
 
-            let now = self.clock.tick();
-            {
-                let pf = set.inode_mut(rf.parent_ino)?;
-                pf.dir_entries_mut()?.remove(&rf.name);
-                pf.mtime = now;
-            }
-            self.add_entry(&mut set, rt.parent_ino, &rt.parent_path, &rt.name, src, now)?;
-            if src_is_dir && rf.parent_ino != rt.parent_ino {
-                // Fix `..` and parent link counts.
-                set.inode_mut(rf.parent_ino)?.nlink -= 1;
-                set.inode_mut(rt.parent_ino)?.nlink += 1;
-                if let NodeKind::Dir { parent, .. } = &mut set.inode_mut(src)?.kind {
-                    *parent = rt.parent_ino;
-                }
-            }
-            set.inode_mut(src)?.ctime = now;
-            self.jrnl(src_full.as_str(), || Record::Rename {
+            let rec = Record::Rename {
                 from_parent: rf.parent_ino,
-                from_name: rf.name.clone(),
+                from_name: &rf.name,
                 to_parent: rt.parent_ino,
-                to_name: rt.name.clone(),
-                tick: now,
-            });
+                to_name: &rt.name,
+                tick: self.clock.tick(),
+            };
+            self.commit(&mut set, src_full.as_str(), &rec);
             // Both parents changed their entry sets; a replaced directory
             // additionally loses its own (negative) dentries. Entries keyed
             // under the *moved* inode stay warm on purpose — its

@@ -105,6 +105,81 @@ fn parallel_scheduler_never_reads_the_wall_clock() {
     );
 }
 
+/// Do = redo: the tree changes only through the one mutator
+/// (`crates/vfs/src/fs/mutate.rs`), which live calls, journal replay and
+/// batch commit all apply their records through. The shard primitives that
+/// add an inode, drop one or hand out a directory's entries for writing
+/// must therefore not appear in any other non-test vfs source, or a second
+/// hand-written mutation body is growing back beside the journal.
+#[test]
+fn only_the_one_mutator_touches_the_tree() {
+    const PRIMITIVES: [&str; 3] = ["insert_inode(", "remove_inode(", "dir_entries_mut("];
+    /// (file, line content) pairs that are allowed anyway; each says why
+    /// it is not a mutation a record could carry.
+    const ALLOWLIST: [(&str, &str); 5] = [
+        // Where the primitives are defined.
+        (
+            "shard.rs",
+            "pub fn dir_entries_mut(&mut self) -> VfsResult<&mut BTreeMap<String, Ino>> {",
+        ),
+        (
+            "shard.rs",
+            "pub fn insert_inode(&mut self, ino: Ino, inode: Inode) {",
+        ),
+        (
+            "shard.rs",
+            "pub fn remove_inode(&mut self, ino: Ino) -> Option<Inode> {",
+        ),
+        // The root directory of a new filesystem: precedes every record.
+        ("fs/mod.rs", "set.insert_inode(ROOT_INO, root);"),
+        // Snapshot install: a memory image loaded into an empty
+        // filesystem, not a replayed operation.
+        ("journal.rs", "set.insert_inode(Ino(n.ino), node);"),
+    ];
+    fn audit(dir: &Path, rel: &str, violations: &mut Vec<String>) {
+        for entry in fs::read_dir(dir).unwrap().flatten() {
+            let path = entry.path();
+            let name = format!("{rel}{}", entry.file_name().to_string_lossy());
+            if path.is_dir() {
+                audit(&path, &format!("{name}/"), violations);
+                continue;
+            }
+            if name == "fs/mutate.rs" || name == "fs/tests.rs" || !name.ends_with(".rs") {
+                continue;
+            }
+            let src = fs::read_to_string(&path).unwrap();
+            // Unit tests sit at the bottom of a file, behind `#[cfg(test)]`.
+            let code = src.split("\n#[cfg(test)]").next().unwrap();
+            for (lineno, line) in code.lines().enumerate() {
+                let code = line.split("//").next().unwrap_or("");
+                let allowed = ALLOWLIST.contains(&(name.as_str(), line.trim()));
+                if !allowed && PRIMITIVES.iter().any(|p| code.contains(p)) {
+                    violations.push(format!(
+                        "crates/vfs/src/{name}:{}: {}",
+                        lineno + 1,
+                        line.trim()
+                    ));
+                }
+            }
+        }
+    }
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../vfs/src");
+    let mutator = fs::read_to_string(src.join("fs/mutate.rs")).unwrap();
+    assert!(
+        PRIMITIVES.iter().all(|p| mutator.contains(p)),
+        "fs/mutate.rs no longer uses the shard primitives; re-point this audit at the mutator"
+    );
+    let mut violations = Vec::new();
+    audit(&src, "", &mut violations);
+    assert!(
+        violations.is_empty(),
+        "tree-mutating shard primitives outside the one mutator (build a \
+         Record and commit it instead, or extend the audit ALLOWLIST with a \
+         justification):\n{}",
+        violations.join("\n")
+    );
+}
+
 /// The audit itself must be looking at real code: if the directories
 /// moved, the scan above would vacuously pass.
 #[test]

@@ -23,7 +23,10 @@ use yanc_apps::TopologyDaemon;
 use yanc_harness::{build_line, settle_supervised};
 use yanc_init::{Fault, ProcessCtx, ProcessSpec, Supervisor};
 use yanc_openflow::{Action, FlowMatch, Version};
-use yanc_vfs::{scan_frames, Acl, Credentials, Filesystem, Gid, Limits, Mode, Uid, VfsResult};
+use yanc_vfs::{
+    scan_frames, Acl, Credentials, EventMask, Filesystem, Gid, Limits, Mode, OpenFlags,
+    SemanticHook, Uid, VPath, VfsResult,
+};
 
 // ----------------------------------------------------------------------
 // Deterministic op generator (splitmix64, same idiom as linearizability.rs)
@@ -50,10 +53,31 @@ impl Rng {
 const DIRS: [&str; 3] = ["/t/d0", "/t/d1", "/t/d2"];
 const NAMES: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
 const SUBS: [&str; 3] = ["s0", "s1", "s2"];
+/// Directories the extended history fills and removes whole.
+const TREES: [&str; 2] = ["r0", "r1"];
+
+/// Directories named `r*` go recursively, the way a switch or flow
+/// directory does under the yanc schema hook: the only way a plain
+/// `rmdir` yields an `RmTree` record. Registered on the journaled and the
+/// restored side alike; the original history names no such directory.
+struct RemovableTrees;
+
+impl SemanticHook for RemovableTrees {
+    fn rmdir_recursive(&self, path: &VPath) -> bool {
+        path.file_name().is_some_and(|n| n.starts_with('r'))
+    }
+}
+
+fn new_fs() -> Filesystem {
+    let fs = Filesystem::builder().shards(1).dcache(false).build();
+    fs.add_hook(Arc::new(RemovableTrees));
+    fs
+}
 
 /// One step of the torture history. Every journaled record kind is reachable:
 /// `WriteFile` emits `Create`/`Truncate`+`Write`, `BatchWrite` emits
-/// `Create`/`SetContent`, and the rest map one-to-one.
+/// `Create`/`SetContent`, a recursive `Rmdir` emits `RmTree`, and the rest
+/// map one-to-one.
 #[derive(Debug, Clone)]
 enum Op {
     Mkdir(String),
@@ -70,6 +94,13 @@ enum Op {
     Symlink(String, String),
     Rmdir(String),
     BatchWrite(String, String, Vec<u8>),
+    /// open → unlink → `pwrite` → close: the descriptor pins the inode
+    /// past its last link. Yields the link count the unlink left; at 0 the
+    /// `Write` record names an orphan that replay must skip.
+    OpenUnlinkWrite(String, Vec<u8>),
+    /// Rename one `s*` directory onto another. Yields whether it replaced
+    /// an (empty) directory.
+    RenameDir(String, String),
 }
 
 fn gen_op(rng: &mut Rng) -> Op {
@@ -129,14 +160,50 @@ fn gen_op(rng: &mut Rng) -> Op {
     }
 }
 
-/// The 500-op seeded history, prefixed by the deterministic scaffolding that
-/// creates the working directories (themselves journaled ops).
-fn build_history(seed: u64, n: usize) -> Vec<Op> {
+/// [`gen_op`] plus what the one mutator took over from the hand-written
+/// live bodies: descriptors held across an unlink, populated `r*` trees
+/// removed whole (hard links reaching into them included), and directory
+/// renames that replace an empty directory.
+fn gen_op_ext(rng: &mut Rng) -> Op {
+    let dir = DIRS[rng.below(3) as usize];
+    let file = format!("{dir}/{}", NAMES[rng.below(6) as usize]);
+    let tree = format!("{dir}/{}", TREES[rng.below(2) as usize]);
+    let sub = |rng: &mut Rng| {
+        format!(
+            "{}/{}",
+            DIRS[rng.below(3) as usize],
+            SUBS[rng.below(3) as usize]
+        )
+    };
+    let inside = |rng: &mut Rng| {
+        let at = ["", "/in"][rng.below(2) as usize];
+        format!("{tree}{at}/{}", NAMES[rng.below(6) as usize])
+    };
+    match rng.below(100) {
+        0..=9 => Op::OpenUnlinkWrite(file, vec![rng.below(256) as u8; 1 + rng.below(16) as usize]),
+        10..=15 => Op::Mkdir(tree),
+        16..=19 => Op::Mkdir(format!("{tree}/in")),
+        20..=29 => Op::WriteFile(
+            inside(rng),
+            vec![rng.below(256) as u8; 1 + rng.below(32) as usize],
+        ),
+        30..=33 => Op::Link(file, inside(rng)),
+        34..=39 => Op::Rmdir(tree),
+        40..=45 => Op::Mkdir(sub(rng)),
+        46..=53 => Op::RenameDir(sub(rng), sub(rng)),
+        _ => gen_op(rng),
+    }
+}
+
+/// An `n`-op seeded history drawn from `gen`, prefixed by the deterministic
+/// scaffolding that creates the working directories (themselves journaled
+/// ops).
+fn build_history(gen: fn(&mut Rng) -> Op, seed: u64, n: usize) -> Vec<Op> {
     let mut ops = vec![Op::Mkdir("/t".into())];
     ops.extend(DIRS.iter().map(|d| Op::Mkdir((*d).into())));
     let mut rng = Rng::new(seed);
     while ops.len() < n {
-        ops.push(gen_op(&mut rng));
+        ops.push(gen(&mut rng));
     }
     ops
 }
@@ -179,6 +246,20 @@ fn apply_op(fs: &Filesystem, op: &Op) -> VfsResult<u64> {
             let n = r?;
             c.map(|_| n)
         }
+        Op::OpenUnlinkWrite(p, data) => {
+            let fd = fs.open(p, OpenFlags::write_create(), &root)?;
+            let r = fs
+                .unlink(p, &root)
+                .and_then(|_| fs.pwrite(fd, 0, data))
+                .and_then(|_| fs.fstat(fd));
+            let c = fs.close(fd, &root);
+            let links = r?.nlink as u64;
+            c.map(|_| links)
+        }
+        Op::RenameDir(from, to) => {
+            let replaced = fs.exists(to, &root);
+            fs.rename(from, to, &root).map(|_| replaced as u64)
+        }
     }
 }
 
@@ -196,7 +277,7 @@ struct JournaledRun {
 }
 
 fn run_journaled(ops: &[Op], snapshot_at: &[usize]) -> JournaledRun {
-    let fs = Filesystem::builder().shards(1).dcache(false).build();
+    let fs = new_fs();
     fs.enable_journal();
     let mut digests = vec![fs.tree_digest()];
     let mut results = Vec::with_capacity(ops.len());
@@ -222,26 +303,34 @@ fn run_journaled(ops: &[Op], snapshot_at: &[usize]) -> JournaledRun {
 }
 
 fn restore(bytes: &[u8]) -> (Filesystem, yanc_vfs::ReplayReport) {
-    Filesystem::restore_from_journal(bytes, Limits::default(), 1, false)
+    let (fs, report) = Filesystem::restore_from_journal(bytes, Limits::default(), 1, false);
+    fs.add_hook(Arc::new(RemovableTrees));
+    (fs, report)
+}
+
+fn fnv64(b: &[u8]) -> u64 {
+    b.iter().fold(0xcbf2_9ce4_8422_2325, |h, &x| {
+        (h ^ x as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 // ----------------------------------------------------------------------
 // The torture sweep
 // ----------------------------------------------------------------------
 
-/// Truncate the journal after every complete frame of a 500-op history and
+/// Truncate the journal after every complete frame of a history and
 /// restore. Op-boundary cuts must reproduce the model prefix state exactly
 /// (tree digest + exact errno of the next op); intra-op cuts (multi-record
 /// ops caught halfway) must still restore deterministically to a structurally
-/// sound tree.
-#[test]
-fn crash_at_every_record_boundary_restores_prefix_state() {
-    let ops = build_history(0xD15C_0001, 500);
-    let run = run_journaled(&ops, &[150, 350]);
+/// sound tree. The whole log skips exactly the orphan writes made since the
+/// last snapshot. Returns the run for history-specific assertions.
+fn crash_at_every_frame(ops: &[Op], snapshot_at: &[usize]) -> JournaledRun {
+    let run = run_journaled(ops, snapshot_at);
     let frames = scan_frames(&run.bytes);
     assert!(
-        frames.len() >= 500,
-        "500 ops must produce at least 500 frames, got {}",
+        frames.len() >= ops.len() * 4 / 5,
+        "{} ops produced only {} frames: too many of them fail",
+        ops.len(),
         frames.len()
     );
     assert_eq!(
@@ -295,8 +384,58 @@ fn crash_at_every_record_boundary_restores_prefix_state() {
     // predecessor's boundary — but the bulk of the sweep must still exercise
     // the exact-prefix-equality arm.
     assert!(
-        op_boundaries > 300,
+        op_boundaries > frames.len() / 2,
         "most cuts should land on op boundaries, got {op_boundaries}"
+    );
+
+    let since_snapshot = snapshot_at.iter().max().copied().unwrap_or(0);
+    let orphan_writes = ops[since_snapshot..]
+        .iter()
+        .zip(&run.results[since_snapshot..])
+        .filter(|(op, r)| matches!(op, Op::OpenUnlinkWrite(..)) && **r == Ok(0))
+        .count() as u64;
+    assert_eq!(restore(&run.bytes).1.records_skipped, orphan_writes);
+    run
+}
+
+/// `journal_bytes()` of two fixed histories, as `(length, fnv64)` recorded at
+/// the commit before the journal was inverted to do = redo: the seeded
+/// 500-op torture history (snapshots after ops 150 and 350) and the 200-op
+/// overlay history followed by one view commit. The wire format is
+/// `JOURNAL_VERSION` 1; a change here is a format change.
+const GOLDEN_TORTURE_LOG: (usize, u64) = (32222, 0x0157_6719_a11e_1a83);
+const GOLDEN_OVERLAY_LOG: (usize, u64) = (16568, 0x8115_a803_ed84_ba9a);
+
+#[test]
+fn crash_at_every_record_boundary_restores_prefix_state() {
+    let ops = build_history(gen_op, 0xD15C_0001, 500);
+    let run = crash_at_every_frame(&ops, &[150, 350]);
+    assert_eq!((run.bytes.len(), fnv64(&run.bytes)), GOLDEN_TORTURE_LOG);
+}
+
+/// The same sweep over a history that holds descriptors across unlinks,
+/// removes populated trees and renames directories over empty ones — and
+/// demonstrably does: the log must carry `RmTree` frames, orphan writes and
+/// replaced directories, or the generator has drifted off its targets.
+#[test]
+fn crash_at_every_record_boundary_with_orphans_rmtrees_and_replaced_dirs() {
+    let ops = build_history(gen_op_ext, 0xD15C_0005, 500);
+    let run = crash_at_every_frame(&ops, &[200]);
+    let count = |f: fn(&Op, &VfsResult<u64>) -> bool| {
+        let hits = ops.iter().zip(&run.results).filter(|(o, r)| f(o, r));
+        hits.count()
+    };
+    let orphans = count(|o, r| matches!(o, Op::OpenUnlinkWrite(..)) && *r == Ok(0));
+    let linked = count(|o, r| matches!(o, Op::OpenUnlinkWrite(..)) && matches!(r, Ok(1..)));
+    let replaced = count(|o, r| matches!(o, Op::RenameDir(..)) && *r == Ok(1));
+    // Tag 7 is `RmTree` (the first payload byte follows the 6-byte header).
+    let rmtrees = scan_frames(&run.bytes)
+        .iter()
+        .filter(|f| run.bytes[f.start + 6] == 7)
+        .count();
+    assert!(
+        orphans >= 10 && linked >= 1 && replaced >= 3 && rmtrees >= 5,
+        "orphans={orphans} linked={linked} replaced={replaced} rmtrees={rmtrees}"
     );
 }
 
@@ -305,7 +444,7 @@ fn crash_at_every_record_boundary_restores_prefix_state() {
 /// the restore equals the restore at the frame's start.
 #[test]
 fn partial_frames_are_invisible() {
-    let ops = build_history(0xD15C_0002, 300);
+    let ops = build_history(gen_op, 0xD15C_0002, 300);
     let run = run_journaled(&ops, &[120]);
     let frames = scan_frames(&run.bytes);
     let mut digest_at = HashMap::new();
@@ -341,7 +480,7 @@ fn partial_frames_are_invisible() {
 /// the half-written snapshot frame contributes nothing.
 #[test]
 fn crash_mid_snapshot_falls_back_to_previous_boundary() {
-    let ops = build_history(0xD15C_0003, 200);
+    let ops = build_history(gen_op, 0xD15C_0003, 200);
     let run = run_journaled(&ops, &[80, 160]);
     let frames = scan_frames(&run.bytes);
     let snaps: Vec<_> = frames.iter().filter(|f| f.is_snapshot).collect();
@@ -367,8 +506,8 @@ fn crash_mid_snapshot_falls_back_to_previous_boundary() {
 /// compacted journal restores to the same tree as the full journal.
 #[test]
 fn compaction_preserves_restore_equivalence() {
-    let ops = build_history(0xD15C_0004, 200);
-    let fs = Filesystem::builder().shards(1).dcache(false).build();
+    let ops = build_history(gen_op, 0xD15C_0004, 200);
+    let fs = new_fs();
     fs.enable_journal();
     for op in &ops[..150] {
         let _ = apply_op(&fs, op);
@@ -524,11 +663,12 @@ fn overlay_world() -> (Arc<Filesystem>, yanc_vfs::Overlay) {
     (fs, ov)
 }
 
-/// Crash-at-every-frame over a 200-op overlay history. Overlay mutations
-/// are multi-record transactions (copy-up chains, whiteout pairs), so the
-/// journal is dense with `Commit` frames; every frame-boundary cut must
-/// restore deterministically to a structurally sound tree, and cuts that
-/// land on overlay-op boundaries must reproduce the op-boundary digest.
+/// Crash-at-every-frame over a 200-op overlay history and the commit of
+/// what it staged. Overlay mutations are multi-record transactions (copy-up
+/// chains, whiteout pairs), so the journal is dense with `Commit` frames;
+/// every frame-boundary cut must restore deterministically to a
+/// structurally sound tree, and cuts that land on overlay-op boundaries
+/// must reproduce the op-boundary digest.
 #[test]
 fn overlay_history_crashes_at_every_frame_boundary() {
     let (fs, ov) = overlay_world();
@@ -539,7 +679,10 @@ fn overlay_history_crashes_at_every_frame_boundary() {
         let _ = apply_ov_op(&ov, &gen_ov_op(&mut rng));
         digests.insert(fs.journal_stats().bytes as usize, fs.tree_digest());
     }
+    ov.commit(&Credentials::root()).unwrap();
+    digests.insert(fs.journal_stats().bytes as usize, fs.tree_digest());
     let bytes = fs.journal_bytes();
+    assert_eq!((bytes.len(), fnv64(&bytes)), GOLDEN_OVERLAY_LOG);
     let frames = scan_frames(&bytes);
     let mut op_boundaries = 0usize;
     for f in &frames {
@@ -771,8 +914,39 @@ fn warm_restart_replays_fewer_syscalls_than_cold() {
 /// mutation is charged, a snapshot installs for free, and replaying the
 /// raw log costs one syscall per record — fewer than rebuilding the same
 /// world by path, which is what a cold restart re-running discovery pays.
+/// And journaling is invisible altogether: the extended torture history
+/// leaves the same tree, the same per-kind syscall counts and the same
+/// notify event sequence with the journal on as with it off.
 #[test]
 fn journaled_install_is_charged_the_same_and_replays_cheaper_than_a_cold_build() {
+    let observe = |journal: bool| {
+        let fs = new_fs();
+        if journal {
+            fs.enable_journal();
+        }
+        let watch = fs.watch("/").subtree().mask(EventMask::ALL);
+        let watch = watch.register().unwrap();
+        let results: Vec<_> = build_history(gen_op_ext, 0xD15C_0005, 500)
+            .iter()
+            .map(|op| apply_op(&fs, op))
+            .collect();
+        let events: Vec<_> = watch
+            .receiver()
+            .try_iter()
+            .map(|e| (e.kind, e.path, e.name))
+            .collect();
+        assert!(events.len() > 500, "the watch saw the history");
+        let counts = fs.counters().snapshot();
+        (
+            results,
+            fs.tree_digest(),
+            fs.content_digest(),
+            counts,
+            events,
+        )
+    };
+    assert!(observe(true) == observe(false), "journaling left a trace");
+
     const N: u64 = 100;
     let world = |journal: bool, batched: bool| -> YancFs {
         let fs = Filesystem::builder().build();
