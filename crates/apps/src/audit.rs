@@ -204,6 +204,7 @@ pub fn account(yfs: &YancFs) -> yanc::YancResult<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::port;
     use yanc::FlowSpec;
     use yanc_openflow::{Action, FlowMatch};
 
@@ -214,7 +215,7 @@ mod tests {
     #[test]
     fn clean_network_audits_clean() {
         let y = yfs();
-        y.create_switch("sw1", 1, 0, 0, 0, 1).unwrap();
+        y.create_switch("sw1", 1, 0, 0, 0, 1, None).unwrap();
         let spec = FlowSpec {
             actions: vec![Action::out(1)],
             ..Default::default()
@@ -231,7 +232,7 @@ mod tests {
     #[test]
     fn detects_priority_conflicts_and_uncommitted() {
         let y = yfs();
-        y.create_switch("sw1", 1, 0, 0, 0, 1).unwrap();
+        y.create_switch("sw1", 1, 0, 0, 0, 1, None).unwrap();
         let a = FlowSpec {
             m: FlowMatch::any(),
             priority: 5,
@@ -269,10 +270,12 @@ mod tests {
     #[test]
     fn detects_flow_errors_and_asymmetric_links() {
         let y = yfs();
-        y.create_switch("sw1", 1, 0, 0, 0, 1).unwrap();
-        y.create_switch("sw2", 2, 0, 0, 0, 1).unwrap();
-        y.create_port("sw1", 1, "02:00:00:00:00:01", 0, 0).unwrap();
-        y.create_port("sw2", 1, "02:00:00:00:00:02", 0, 0).unwrap();
+        y.create_switch("sw1", 1, 0, 0, 0, 1, None).unwrap();
+        y.create_switch("sw2", 2, 0, 0, 0, 1, None).unwrap();
+        y.create_ports("sw1", &[port(1, "02:00:00:00:00:01")])
+            .unwrap();
+        y.create_ports("sw2", &[port(1, "02:00:00:00:00:02")])
+            .unwrap();
         // One-directional peer.
         y.set_peer("sw1", 1, "sw2", 1).unwrap();
         // Flow with a driver error file.
@@ -304,8 +307,9 @@ mod tests {
     #[test]
     fn accounting_writes_summaries() {
         let y = yfs();
-        y.create_switch("sw1", 1, 0, 0, 0, 1).unwrap();
-        y.create_port("sw1", 1, "02:00:00:00:00:01", 0, 0).unwrap();
+        y.create_switch("sw1", 1, 0, 0, 0, 1, None).unwrap();
+        y.create_ports("sw1", &[port(1, "02:00:00:00:00:01")])
+            .unwrap();
         let swdir = y.switch_dir("sw1");
         y.write_counter(&swdir, "flow_packets", 100).unwrap();
         let pdir = y.port_dir("sw1", 1);

@@ -94,20 +94,13 @@ impl LearningSwitch {
                 port_no::FLOOD
             }
         };
-        let line = match rec.buffer_id {
-            Some(id) => format!("buffer={id} in_port={} out={}\n", rec.in_port, out),
-            None => format!(
-                "buffer=none in_port={} out={} data={}\n",
-                rec.in_port,
-                out,
-                yanc::hex_encode(&rec.data)
-            ),
-        };
-        let path = self.yfs.switch_dir(&rec.switch).join("packet_out");
-        let _ = self
-            .yfs
-            .filesystem()
-            .append_file(path.as_str(), line.as_bytes(), self.yfs.creds());
+        let _ = self.yfs.packet_out(
+            &rec.switch,
+            rec.buffer_id,
+            rec.in_port,
+            &out.to_string(),
+            &rec.data,
+        );
     }
 }
 

@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use yanc::{EventSubscription, FlowSpec, PacketInRecord, YancFs};
+use yanc::{EventSubscription, FlowSpec, Object, PacketInRecord, YancFs};
 use yanc_openflow::{port_no, Action, FlowMatch, Ipv4Prefix};
 use yanc_packet::{build_arp_reply, EtherType, EthernetFrame, MacAddr, PacketSummary};
 use yanc_vfs::Mode;
@@ -54,23 +54,16 @@ pub fn define_pool(
     vip: Ipv4Addr,
     backends: &[Backend],
 ) -> yanc::YancResult<()> {
-    let dir = yfs.root().join("lb").join(name);
-    let fs = yfs.filesystem();
-    fs.mkdir_all(dir.join("stats").as_str(), Mode::DIR_DEFAULT, yfs.creds())?;
-    fs.write_file(
-        dir.join("vip").as_str(),
-        vip.to_string().as_bytes(),
-        yfs.creds(),
-    )?;
+    let lb = yfs.root().join("lb");
+    let stats = lb.join(name).join("stats");
+    yfs.filesystem()
+        .mkdir_all(stats.as_str(), Mode::DIR_DEFAULT, yfs.creds())?;
     let servers: String = backends
         .iter()
         .map(|b| format!("{} {}\n", b.ip, b.mac))
         .collect();
-    fs.write_file(
-        dir.join("servers").as_str(),
-        servers.as_bytes(),
-        yfs.creds(),
-    )?;
+    let pool = |_fresh| Ok(vec![("vip", vip.to_string()), ("servers", servers)]);
+    yfs.put_objects(&lb, [Object::new(name, pool)])?;
     Ok(())
 }
 
@@ -259,15 +252,9 @@ impl LoadBalancer {
     }
 
     fn packet_out(&self, sw: &str, in_port: u16, out: u16, frame: &bytes::Bytes) {
-        let line = format!(
-            "buffer=none in_port={in_port} out={out} data={}\n",
-            yanc::hex_encode(frame)
-        );
-        let path = self.yfs.switch_dir(sw).join("packet_out");
         let _ = self
             .yfs
-            .filesystem()
-            .append_file(path.as_str(), line.as_bytes(), self.yfs.creds());
+            .packet_out(sw, None, in_port, &out.to_string(), frame);
     }
 }
 

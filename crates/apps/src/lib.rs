@@ -44,3 +44,14 @@ pub use router::RouterDaemon;
 pub use slicer::{intersect, BigSwitchDaemon, SliceDaemon, BIG_SWITCH};
 pub use topology::{ingress_ports, shortest_path, TopologyDaemon, TopologyView};
 pub use whatif::WhatIf;
+
+#[cfg(test)]
+/// A plain up port, for the unit tests' hand-built trees.
+pub(crate) fn port(port_no: u16, hw_addr: &str) -> yanc::PortSpec {
+    yanc::PortSpec {
+        port_no,
+        hw_addr: hw_addr.into(),
+        link_up: true,
+        ..Default::default()
+    }
+}

@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-use yanc::YancFs;
+use yanc::{Object, YancFs};
 use yanc_vfs::Mode;
 
 /// One NAT-style connection record.
@@ -60,18 +60,16 @@ impl MiddleboxInstance {
 
     /// Record a connection.
     pub fn add_conn(&self, conn_id: &str, st: &ConnState) -> yanc::YancResult<()> {
-        let dir = self.state_dir().join(conn_id);
-        let fs = self.yfs.filesystem();
-        fs.mkdir_all(dir.as_str(), Mode::DIR_DEFAULT, self.yfs.creds())?;
-        let fields = [
-            ("inside", format!("{}:{}", st.inside.0, st.inside.1)),
-            ("outside", format!("{}:{}", st.outside.0, st.outside.1)),
-            ("nat_port", st.nat_port.to_string()),
-            ("hits", st.hits.to_string()),
-        ];
-        for (k, v) in fields {
-            fs.write_file(dir.join(k).as_str(), v.as_bytes(), self.yfs.creds())?;
-        }
+        let fields = |_fresh| {
+            Ok(vec![
+                ("inside", format!("{}:{}", st.inside.0, st.inside.1)),
+                ("outside", format!("{}:{}", st.outside.0, st.outside.1)),
+                ("nat_port", st.nat_port.to_string()),
+                ("hits", st.hits.to_string()),
+            ])
+        };
+        let conn = Object::new(conn_id, fields);
+        self.yfs.put_objects(&self.state_dir(), [conn])?;
         Ok(())
     }
 

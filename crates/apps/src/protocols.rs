@@ -12,7 +12,8 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use yanc::{EventSubscription, PacketInRecord, YancFs};
+use yanc::{EventSubscription, HostRecord, Object, PacketInRecord, YancFs};
+use yanc_openflow::port_no;
 use yanc_packet::{
     build_arp_reply, DhcpMessage, DhcpMessageType, EtherType, EthernetFrame, Ipv4Packet, MacAddr,
     UdpDatagram,
@@ -21,38 +22,14 @@ use yanc_vfs::Mode;
 
 /// Register a host in `/net/hosts/<name>` (ip + mac files).
 pub fn register_host(yfs: &YancFs, name: &str, ip: Ipv4Addr, mac: MacAddr) -> yanc::YancResult<()> {
-    let dir = yfs.root().join("hosts").join(name);
-    let fs = yfs.filesystem();
-    fs.mkdir_all(dir.as_str(), Mode::DIR_DEFAULT, yfs.creds())?;
-    fs.write_file(
-        dir.join("ip").as_str(),
-        ip.to_string().as_bytes(),
-        yfs.creds(),
-    )?;
-    fs.write_file(
-        dir.join("mac").as_str(),
-        mac.to_string().as_bytes(),
-        yfs.creds(),
-    )?;
-    Ok(())
+    let (ip, location) = (Some(ip), None);
+    yfs.write_host(name, &HostRecord { mac, ip, location })
 }
 
 /// Read the host registry: `ip → mac`.
 pub fn host_registry(yfs: &YancFs) -> yanc::YancResult<HashMap<Ipv4Addr, MacAddr>> {
-    let mut out = HashMap::new();
-    let hosts_dir = yfs.root().join("hosts");
-    let fs = yfs.filesystem();
-    for e in fs.readdir(hosts_dir.as_str(), yfs.creds())? {
-        let dir = hosts_dir.join(&e.name);
-        let ip = fs.read_to_string(dir.join("ip").as_str(), yfs.creds());
-        let mac = fs.read_to_string(dir.join("mac").as_str(), yfs.creds());
-        if let (Ok(ip), Ok(mac)) = (ip, mac) {
-            if let (Ok(ip), Ok(mac)) = (ip.trim().parse(), mac.trim().parse()) {
-                out.insert(ip, mac);
-            }
-        }
-    }
-    Ok(out)
+    let hosts = yfs.read_hosts()?.into_iter();
+    Ok(hosts.filter_map(|(_, h)| Some((h.ip?, h.mac))).collect())
 }
 
 /// ARP daemon: answers requests for registered hosts via packet-out.
@@ -107,19 +84,11 @@ impl ArpResponder {
             return;
         };
         let reply = build_arp_reply(mac, arp.tpa, arp.sha, arp.spa);
-        let line = format!(
-            "buffer=none in_port={} out={} data={}\n",
-            yanc_openflow::port_no::NONE,
-            rec.in_port,
-            yanc::hex_encode(&reply)
-        );
-        let path = self.yfs.switch_dir(&rec.switch).join("packet_out");
-        if self
+        let out = rec.in_port.to_string();
+        let sent = self
             .yfs
-            .filesystem()
-            .append_file(path.as_str(), line.as_bytes(), self.yfs.creds())
-            .is_ok()
-        {
+            .packet_out(&rec.switch, None, port_no::NONE, &out, &reply);
+        if sent.is_ok() {
             self.replies += 1;
         }
     }
@@ -148,19 +117,16 @@ impl DhcpDaemon {
         pool_size: u32,
     ) -> yanc::YancResult<Self> {
         let sub = yfs.subscribe_events("dhcpd")?;
-        let fs = yfs.filesystem();
-        let dir = yfs.root().join("dhcp");
-        fs.mkdir_all(dir.join("leases").as_str(), Mode::DIR_DEFAULT, yfs.creds())?;
-        fs.write_file(
-            dir.join("base").as_str(),
-            pool_base.to_string().as_bytes(),
-            yfs.creds(),
-        )?;
-        fs.write_file(
-            dir.join("size").as_str(),
-            pool_size.to_string().as_bytes(),
-            yfs.creds(),
-        )?;
+        let pool = |_fresh| {
+            Ok(vec![
+                ("base", pool_base.to_string()),
+                ("size", pool_size.to_string()),
+            ])
+        };
+        yfs.put_objects(yfs.root(), [Object::new("dhcp", pool)])?;
+        let leases = yfs.root().join("dhcp").join("leases");
+        yfs.filesystem()
+            .mkdir_all(leases.as_str(), Mode::DIR_DEFAULT, yfs.creds())?;
         Ok(DhcpDaemon {
             server_mac: MacAddr::from_seed(0xd4c9_0001),
             yfs,
@@ -275,19 +241,11 @@ impl DhcpDaemon {
             payload: ip_reply.encode(),
         }
         .encode();
-        let line = format!(
-            "buffer=none in_port={} out={} data={}\n",
-            yanc_openflow::port_no::NONE,
-            rec.in_port,
-            yanc::hex_encode(&frame)
-        );
-        let path = self.yfs.switch_dir(&rec.switch).join("packet_out");
-        if self
+        let out = rec.in_port.to_string();
+        let sent = self
             .yfs
-            .filesystem()
-            .append_file(path.as_str(), line.as_bytes(), self.yfs.creds())
-            .is_ok()
-        {
+            .packet_out(&rec.switch, None, port_no::NONE, &out, &frame);
+        if sent.is_ok() {
             self.responses += 1;
         }
     }

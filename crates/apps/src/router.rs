@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use yanc::{EventSubscription, FlowSpec, PacketInRecord, YancFs};
+use yanc::{EventSubscription, FlowSpec, HostRecord, PacketInRecord, YancFs};
 use yanc_openflow::{port_no, Action, FlowMatch};
 use yanc_packet::{EtherType, MacAddr, PacketSummary};
 
@@ -82,28 +82,16 @@ impl RouterDaemon {
         let is_edge = matches!(self.topology.has_peer(&rec.switch, rec.in_port), Ok(false));
         if is_edge && !summary.dl_src.is_multicast() {
             let loc = (rec.switch.clone(), rec.in_port);
-            if self.locations.insert(summary.dl_src, loc.clone()) != Some(loc.clone()) {
+            if self.locations.insert(summary.dl_src, loc.clone()).as_ref() != Some(&loc) {
                 let name = summary.dl_src.to_string().replace(':', "-");
-                let dir = self.yfs.root().join("hosts").join(&name);
-                let fs = self.yfs.filesystem();
-                let _ = fs.mkdir_all(dir.as_str(), yanc_vfs::Mode::DIR_DEFAULT, self.yfs.creds());
-                let _ = fs.write_file(
-                    dir.join("mac").as_str(),
-                    summary.dl_src.to_string().as_bytes(),
-                    self.yfs.creds(),
+                let _ = self.yfs.write_host(
+                    &name,
+                    &HostRecord {
+                        mac: summary.dl_src,
+                        ip: summary.nw_src,
+                        location: Some(loc),
+                    },
                 );
-                let _ = fs.write_file(
-                    dir.join("location").as_str(),
-                    format!("{}:{}", loc.0, loc.1).as_bytes(),
-                    self.yfs.creds(),
-                );
-                if let Some(ip) = summary.nw_src {
-                    let _ = fs.write_file(
-                        dir.join("ip").as_str(),
-                        ip.to_string().as_bytes(),
-                        self.yfs.creds(),
-                    );
-                }
             }
         }
 
@@ -151,26 +139,11 @@ impl RouterDaemon {
             if !outs.is_empty() {
                 // Data form: buffer ids are only valid on the originating
                 // switch.
-                self.packet_out(&sw, None, port_no::NONE, &outs.join(","), &rec.data);
+                let _ = self
+                    .yfs
+                    .packet_out(&sw, None, port_no::NONE, &outs.join(","), &rec.data);
             }
         }
-    }
-
-    /// Append one `packet_out` command: send `buffer`, or the frame `data`
-    /// when there is none, out of the comma-separated ports `out`.
-    fn packet_out(&self, sw: &str, buffer: Option<u32>, in_port: u16, out: &str, data: &[u8]) {
-        let line = match buffer {
-            Some(id) => format!("buffer={id} in_port={in_port} out={out}\n"),
-            None => format!(
-                "buffer=none in_port={in_port} out={out} data={}\n",
-                yanc::hex_encode(data)
-            ),
-        };
-        let path = self.yfs.switch_dir(sw).join("packet_out");
-        let _ = self
-            .yfs
-            .filesystem()
-            .append_file(path.as_str(), line.as_bytes(), self.yfs.creds());
     }
 
     /// Install exact-match entries along the shortest path and release the
@@ -189,7 +162,6 @@ impl RouterDaemon {
 
         self.seq += 1;
         let first_out = plan[0].2;
-        let fs = self.yfs.filesystem();
         for (sw, inp, outp) in plan {
             let m = FlowMatch {
                 in_port: Some(inp),
@@ -203,17 +175,13 @@ impl RouterDaemon {
                 cookie: self.seq,
                 ..Default::default()
             };
-            // `rt<seq>_<sw>` is a fresh name every time — the case the
-            // descriptor-relative write is exact for.
+            // `rt<seq>_<sw>` is a fresh name every time.
             let name = format!("rt{}_{}", self.seq, sw);
-            let flows = self.yfs.open_flows_dir(&sw).ok()?;
-            let written = self.yfs.write_flow_at(flows, &name, &spec);
-            let _ = fs.close(flows, self.yfs.creds());
-            written.ok()?;
+            self.yfs.write_flow(&sw, &name, &spec).ok()?;
         }
         self.paths_installed += 1;
         // Release the buffered packet along the installed path.
-        self.packet_out(
+        let _ = self.yfs.packet_out(
             &rec.switch,
             rec.buffer_id,
             rec.in_port,

@@ -19,7 +19,7 @@
 //!   out=vb` is compiled into per-hop physical flows along the shortest
 //!   path.
 
-use yanc::{FlowSpec, SchemaPos, ViewConfig, YancFs};
+use yanc::{FlowSpec, PortSpec, SchemaPos, ViewConfig, YancFs};
 use yanc_openflow::{Action, FlowMatch, Ipv4Prefix};
 use yanc_vfs::{Event, EventKind, EventMask, WatchGuard};
 
@@ -100,10 +100,10 @@ impl SliceDaemon {
         // Mirror member switches (skeletons come from the semantic hook).
         for sw in &cfg.switches {
             let dpid = phys.switch_dpid(sw).unwrap_or(0);
-            virt.create_switch(sw, dpid, 0, 0, 0, 1)?;
-            for p in phys.list_ports(sw).unwrap_or_default() {
-                virt.create_port(sw, p, "00:00:00:00:00:00", 0, 0)?;
-            }
+            virt.create_switch(sw, dpid, 0, 0, 0, 1, None)?;
+            let ports = phys.list_ports(sw).unwrap_or_default();
+            let ports: Vec<PortSpec> = ports.into_iter().map(virtual_port).collect();
+            virt.create_ports(sw, &ports)?;
         }
         let watch = phys
             .filesystem()
@@ -200,6 +200,16 @@ pub struct BigSwitchDaemon {
     pub rejected: usize,
 }
 
+/// A view-side port: numbered like the one it stands for, no hardware.
+fn virtual_port(port_no: u16) -> PortSpec {
+    PortSpec {
+        port_no,
+        hw_addr: "00:00:00:00:00:00".into(),
+        link_up: true,
+        ..Default::default()
+    }
+}
+
 /// The virtual switch's name inside a big-switch view.
 pub const BIG_SWITCH: &str = "big0";
 
@@ -210,7 +220,7 @@ impl BigSwitchDaemon {
         let cfg = phys.read_view_config(view)?;
         let view_root = phys.view_dir(view);
         let virt = YancFs::new(phys.filesystem().clone(), view_root.as_str());
-        virt.create_switch(BIG_SWITCH, 0xb16, 0, 0, 0, 1)?;
+        virt.create_switch(BIG_SWITCH, 0xb16, 0, 0, 0, 1, None)?;
         let mut topology = TopologyView::new(phys.clone())?;
         let mut port_map = Vec::new();
         for sw in &cfg.switches {
@@ -220,9 +230,10 @@ impl BigSwitchDaemon {
                 }
             }
         }
+        let vports: Vec<PortSpec> = (1..=port_map.len() as u16).map(virtual_port).collect();
+        virt.create_ports(BIG_SWITCH, &vports)?;
         for (v, (sw, p)) in port_map.iter().enumerate() {
             let vport = (v + 1) as u16;
-            virt.create_port(BIG_SWITCH, vport, "00:00:00:00:00:00", 0, 0)?;
             let map = virt.port_dir(BIG_SWITCH, vport).join("map");
             virt.filesystem().write_file(
                 map.as_str(),
@@ -353,6 +364,7 @@ impl BigSwitchDaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::port;
     use yanc::ViewKind;
 
     fn ipf(s: &str) -> Option<Ipv4Prefix> {
@@ -402,9 +414,9 @@ mod tests {
     fn slice_fixture() -> (YancFs, SliceDaemon) {
         let y = YancFs::init(std::sync::Arc::new(yanc_vfs::Filesystem::new()), "/net").unwrap();
         for (sw, d) in [("sw1", 1u64), ("sw2", 2)] {
-            y.create_switch(sw, d, 0, 0, 0, 1).unwrap();
+            y.create_switch(sw, d, 0, 0, 0, 1, None).unwrap();
             for p in 1..=2 {
-                y.create_port(sw, p, "02:00:00:00:00:01", 0, 0).unwrap();
+                y.create_ports(sw, &[port(p, "02:00:00:00:00:01")]).unwrap();
             }
         }
         y.create_view("ssh").unwrap();
@@ -487,9 +499,9 @@ mod tests {
         let y = YancFs::init(std::sync::Arc::new(yanc_vfs::Filesystem::new()), "/net").unwrap();
         // sw1 -(p3/p3)- sw2; edge ports: sw1:p1,p2 and sw2:p1,p2.
         for (sw, d) in [("sw1", 1u64), ("sw2", 2)] {
-            y.create_switch(sw, d, 0, 0, 0, 1).unwrap();
+            y.create_switch(sw, d, 0, 0, 0, 1, None).unwrap();
             for p in 1..=3 {
-                y.create_port(sw, p, "02:00:00:00:00:01", 0, 0).unwrap();
+                y.create_ports(sw, &[port(p, "02:00:00:00:00:01")]).unwrap();
             }
         }
         y.set_peer("sw1", 3, "sw2", 3).unwrap();
@@ -536,8 +548,9 @@ mod tests {
     #[test]
     fn big_switch_rejects_unsupported_shapes() {
         let y = YancFs::init(std::sync::Arc::new(yanc_vfs::Filesystem::new()), "/net").unwrap();
-        y.create_switch("sw1", 1, 0, 0, 0, 1).unwrap();
-        y.create_port("sw1", 1, "02:00:00:00:00:01", 0, 0).unwrap();
+        y.create_switch("sw1", 1, 0, 0, 0, 1, None).unwrap();
+        y.create_ports("sw1", &[port(1, "02:00:00:00:00:01")])
+            .unwrap();
         y.create_view("v").unwrap();
         y.write_view_config(
             "v",

@@ -66,18 +66,8 @@ impl TopologyDaemon {
                     &sw,
                     &port.to_string(),
                 );
-                let line = format!(
-                    "buffer=none in_port={} out={} data={}\n",
-                    port_no::NONE,
-                    port,
-                    yanc::hex_encode(&frame)
-                );
-                let path = self.yfs.switch_dir(&sw).join("packet_out");
-                self.yfs.filesystem().append_file(
-                    path.as_str(),
-                    line.as_bytes(),
-                    self.yfs.creds(),
-                )?;
+                self.yfs
+                    .packet_out(&sw, None, port_no::NONE, &port.to_string(), &frame)?;
             }
         }
         Ok(())
@@ -405,6 +395,7 @@ impl TopologyView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::port;
     use std::sync::Arc;
     use yanc_vfs::Filesystem;
 
@@ -413,9 +404,10 @@ mod tests {
         let y = YancFs::init(Arc::new(Filesystem::new()), "/net").unwrap();
         for i in 0..n {
             let name = format!("s{i}");
-            y.create_switch(&name, i as u64, 0, 0, 0, 1).unwrap();
+            y.create_switch(&name, i as u64, 0, 0, 0, 1, None).unwrap();
             for p in 1..=3u16 {
-                y.create_port(&name, p, "02:00:00:00:00:01", 0, 0).unwrap();
+                y.create_ports(&name, &[port(p, "02:00:00:00:00:01")])
+                    .unwrap();
             }
         }
         for i in 0..n - 1 {
@@ -465,7 +457,7 @@ mod tests {
         assert_eq!(view.shortest_path("s0", "s3").unwrap(), None);
         assert!(!view.has_peer("s1", 2).unwrap());
         assert_eq!(view.rebuilds, 2);
-        y.create_switch("s9", 9, 0, 0, 0, 1).unwrap(); // switches/ itself
+        y.create_switch("s9", 9, 0, 0, 0, 1, None).unwrap(); // switches/ itself
         view.has_peer("s9", 1).unwrap();
         assert_eq!(view.rebuilds, 3);
         view.invalidate();
@@ -476,7 +468,7 @@ mod tests {
     #[test]
     fn bfs_unreachable() {
         let y = yfs_with_line(2);
-        y.create_switch("island", 99, 0, 0, 0, 1).unwrap();
+        y.create_switch("island", 99, 0, 0, 0, 1, None).unwrap();
         assert_eq!(shortest_path(&y, "s0", "island").unwrap(), None);
     }
 

@@ -27,7 +27,7 @@
 //!
 //! let fs = Arc::new(Filesystem::new());
 //! let y = YancFs::init(fs, "/net").unwrap();
-//! y.create_switch("sw1", 0x1, 0x7, 0xfff, 256, 1).unwrap();
+//! y.create_switch("sw1", 0x1, 0x7, 0xfff, 256, 1, None).unwrap();
 //!
 //! // Install a flow by writing files; the version bump commits it.
 //! let spec = FlowSpec {
@@ -56,4 +56,7 @@ pub use flowspec::{parse_port_token, port_token, FlowOp, FlowSpec};
 pub use hook::YancHook;
 pub use schema::{classify, valid_flow_file, SchemaPos, NET_ROOT};
 pub use views::{ViewConfig, ViewKind};
-pub use yancfs::{hex_decode, hex_encode, EventSubscription, PacketInRecord, PortSpec, YancFs};
+pub use yancfs::{
+    hex_decode, hex_encode, parse_packet_out_line, EventSubscription, HostRecord, Object,
+    PacketInRecord, PortSpec, YancFs,
+};

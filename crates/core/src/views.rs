@@ -22,7 +22,7 @@ use yanc_vfs::Mode;
 
 use crate::error::{YancError, YancResult};
 use crate::flowspec::FlowSpec;
-use crate::yancfs::YancFs;
+use crate::yancfs::{Object, YancFs};
 
 /// What transformation a view performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,6 +61,11 @@ pub struct ViewConfig {
     pub filter: FlowMatch,
 }
 
+/// Whether a `(file, contents)` pair is one of the `match.*` filter files.
+fn is_match_file((file, _): &(String, String)) -> bool {
+    file.starts_with("match.")
+}
+
 impl YancFs {
     /// `mkdir views/<name>` — the semantic hook auto-creates
     /// `hosts/ switches/ views/` inside it.
@@ -74,55 +79,43 @@ impl YancFs {
 
     /// Write a view's `config/` directory.
     pub fn write_view_config(&self, name: &str, cfg: &ViewConfig) -> YancResult<()> {
-        let dir = self.view_dir(name).join("config");
-        let fs = self.filesystem();
-        fs.mkdir_all(dir.as_str(), Mode::DIR_DEFAULT, self.creds())?;
-        fs.write_file(
-            dir.join("kind").as_str(),
-            cfg.kind.as_str().as_bytes(),
-            self.creds(),
-        )?;
-        fs.write_file(
-            dir.join("switches").as_str(),
-            cfg.switches.join("\n").as_bytes(),
-            self.creds(),
-        )?;
-        // The filter reuses the flow match file notation.
-        let spec = FlowSpec {
-            m: cfg.filter,
-            ..Default::default()
+        let fields = |_fresh| {
+            // The filter reuses the flow match file notation.
+            let filter = FlowSpec {
+                m: cfg.filter,
+                ..Default::default()
+            };
+            let mut f = vec![
+                ("kind".to_string(), cfg.kind.as_str().to_string()),
+                ("switches".to_string(), cfg.switches.join("\n")),
+            ];
+            f.extend(filter.to_files().into_iter().filter(is_match_file));
+            Ok(f)
         };
-        for (file, value) in spec.to_files() {
-            if file.starts_with("match.") {
-                fs.write_file(dir.join(&file).as_str(), value.as_bytes(), self.creds())?;
-            }
-        }
+        self.put_objects(&self.view_dir(name), [Object::new("config", fields)])?;
         Ok(())
     }
 
     /// Read a view's `config/` directory.
     pub fn read_view_config(&self, name: &str) -> YancResult<ViewConfig> {
-        let dir = self.view_dir(name).join("config");
-        let fs = self.filesystem();
-        let kind_s = fs.read_to_string(dir.join("kind").as_str(), self.creds())?;
-        let kind = ViewKind::parse(&kind_s)
+        let files = self.read_fields(&self.view_dir(name).join("config"))?;
+        let get = |file: &str| {
+            let found = files.iter().find(|(k, _)| k == file);
+            found
+                .map(|(_, v)| v.as_str())
+                .ok_or_else(|| YancError::schema(format!("view {name} has no config/{file}")))
+        };
+        let kind_s = get("kind")?;
+        let kind = ViewKind::parse(kind_s)
             .ok_or_else(|| YancError::parse("kind", format!("unknown view kind {kind_s:?}")))?;
-        let switches: Vec<String> = fs
-            .read_to_string(dir.join("switches").as_str(), self.creds())?
+        let switches = get("switches")?
             .lines()
             .map(str::trim)
             .filter(|l| !l.is_empty())
             .map(str::to_string)
             .collect();
-        let mut match_files: Vec<(String, String)> = Vec::new();
-        for e in fs.readdir(dir.as_str(), self.creds())? {
-            if e.name.starts_with("match.") {
-                let v = fs.read_to_string(dir.join(&e.name).as_str(), self.creds())?;
-                match_files.push((e.name, v));
-            }
-        }
-        match_files.push(("version".to_string(), "0".to_string()));
-        let spec = FlowSpec::from_files(match_files.iter().map(|(k, v)| (k.as_str(), v.as_str())))?;
+        let filter = files.iter().filter(|f| is_match_file(f));
+        let spec = FlowSpec::from_files(filter.map(|(k, v)| (k.as_str(), v.as_str())))?;
         Ok(ViewConfig {
             kind,
             switches,
@@ -132,15 +125,7 @@ impl YancFs {
 
     /// List views at the top level.
     pub fn list_views(&self) -> YancResult<Vec<String>> {
-        Ok(self
-            .filesystem()
-            .readdir(
-                self.root().join(crate::schema::VIEWS).as_str(),
-                self.creds(),
-            )?
-            .into_iter()
-            .map(|e| e.name)
-            .collect())
+        self.names_in(&self.root().join(crate::schema::VIEWS))
     }
 }
 

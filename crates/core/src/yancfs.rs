@@ -8,21 +8,25 @@
 //! publish a packet-in into every subscriber's buffer, wire up a `peer`
 //! symlink.
 
+use std::borrow::Cow;
+use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 
+use yanc_openflow::{port_no, Action, Message};
+use yanc_packet::MacAddr;
 use yanc_vfs::{
-    Credentials, DcacheStats, Errno, Event, EventKind, EventMask, Fd, Filesystem, Mode, OpenFlags,
-    VPath, WatchGuard,
+    Credentials, DcacheStats, Errno, Event, EventKind, EventMask, Fd, FileType, Filesystem, Mode,
+    OpenFlags, VPath, WatchGuard,
 };
 
 use crate::error::{YancError, YancResult};
-use crate::flowspec::FlowSpec;
+use crate::flowspec::{parse_port_token, FlowSpec};
 use crate::hook::YancHook;
-use crate::schema::{self, EVENTS, HOSTS, SWITCHES, VIEWS};
+use crate::schema::{EVENTS, HOSTS, SWITCHES, VIEWS};
 
 /// A packet-in record as materialized in an app's event buffer
 /// (paper §3.5): one directory per message, one file per attribute.
@@ -63,22 +67,20 @@ impl EventSubscription {
             .collect();
         names.sort();
         names.dedup();
-        let mut out = Vec::new();
-        for name in names {
-            if let Ok(rec) = self.yfs.read_packet_in(&self.app, &name) {
-                out.push(rec);
-                let _ = self.yfs.consume_packet_in(&self.app, &name);
-            }
-        }
-        out
+        self.take(names)
     }
 
     /// Drain every entry currently in the buffer (even ones whose notify
     /// event was consumed elsewhere).
     pub fn drain_all(&self) -> Vec<PacketInRecord> {
         while self.watch.receiver().try_recv().is_ok() {}
+        self.take(self.yfs.list_packet_ins(&self.app).unwrap_or_default())
+    }
+
+    /// Read and consume the named entries; unreadable ones are left alone.
+    fn take(&self, names: Vec<String>) -> Vec<PacketInRecord> {
         let mut out = Vec::new();
-        for name in self.yfs.list_packet_ins(&self.app).unwrap_or_default() {
+        for name in names {
             if let Ok(rec) = self.yfs.read_packet_in(&self.app, &name) {
                 out.push(rec);
                 let _ = self.yfs.consume_packet_in(&self.app, &name);
@@ -100,10 +102,46 @@ impl EventSubscription {
     }
 }
 
-/// One port's worth of materialization input for
-/// [`YancFs::create_ports_batch`]: what a features reply or port
-/// description carries, minus the wire framing.
+/// One object of a [`YancFs::put_objects_at`] call — paper §3: an object
+/// is a directory, an attribute is a file in it.
+pub struct Object<F> {
+    /// Its directory, relative to the descriptor (empty: the descriptor's
+    /// own directory, and field names may be relative paths).
+    pub dir: String,
+    /// `mkdirat` the directory first (`EEXIST` means rewrite). `false` for
+    /// an object whose directory is known to exist, like a counter set.
+    pub mkdir: bool,
+    /// `fields(fresh)`: the attribute files `(name, contents)` in write
+    /// order, given whether the directory is new. A commit file goes last.
+    pub fields: F,
+}
+
+impl<F> Object<F> {
+    /// The object directory `dir`, created if missing.
+    pub fn new(dir: &str, fields: F) -> Self {
+        Object {
+            dir: dir.to_string(),
+            mkdir: true,
+            fields,
+        }
+    }
+}
+
+/// A host record, `hosts/<name>/{mac,ip,location}` (Figure 2).
 #[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HostRecord {
+    /// The host's MAC address.
+    pub mac: MacAddr,
+    /// Its IP address, when known.
+    pub ip: Option<Ipv4Addr>,
+    /// The edge port it was last seen on: `(switch, port)`.
+    pub location: Option<(String, u16)>,
+}
+
+/// One port's worth of materialization input for
+/// [`YancFs::create_ports`]: what a features reply or port description
+/// carries, minus the wire framing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PortSpec {
     /// OpenFlow port number (`ports/p<n>`).
     pub port_no: u16,
@@ -237,6 +275,11 @@ impl YancFs {
         self.switch_dir(sw).join("ports").join(&format!("p{port}"))
     }
 
+    /// `<root>/switches/<sw>/packet_out` — the switch's command file.
+    pub fn packet_out_path(&self, sw: &str) -> VPath {
+        self.switch_dir(sw).join("packet_out")
+    }
+
     /// `<root>/events`.
     pub fn events_dir(&self) -> VPath {
         self.root.join(EVENTS)
@@ -248,11 +291,110 @@ impl YancFs {
     }
 
     // ------------------------------------------------------------------
+    // Objects: a directory of attribute files (paper §3)
+    // ------------------------------------------------------------------
+
+    /// The one write primitive behind every object kind: at most one
+    /// `mkdirat` per object directory (`EEXIST` means rewrite), then **one**
+    /// `write_batch_at` carrying every field of every object of the call in
+    /// the order given — so a commit file such as `version` is simply last,
+    /// and a watcher sees the identical Create/CloseWrite sequence a shell
+    /// writing the same files one by one produces.
+    pub fn put_objects_at<F, K, V>(
+        &self,
+        at: Fd,
+        objects: impl IntoIterator<Item = Object<F>>,
+    ) -> YancResult<usize>
+    where
+        F: FnOnce(bool) -> YancResult<Vec<(K, V)>>,
+        K: AsRef<str>,
+        V: AsRef<[u8]>,
+    {
+        let mut put: Vec<(String, Vec<(K, V)>)> = Vec::new();
+        for o in objects {
+            let fresh = o.mkdir
+                && match self.fs.mkdirat(at, &o.dir, Mode::DIR_DEFAULT, &self.creds) {
+                    Ok(()) => true,
+                    Err(e) if e.errno == Errno::EEXIST => false,
+                    Err(e) => return Err(e.into()),
+                };
+            put.push((o.dir, (o.fields)(fresh)?));
+        }
+        let total = put.iter().map(|(_, fields)| fields.len()).sum();
+        let mut paths: Vec<Cow<str>> = Vec::with_capacity(total);
+        for (dir, fields) in &put {
+            paths.extend(fields.iter().map(|(k, _)| match dir.is_empty() {
+                true => Cow::Borrowed(k.as_ref()),
+                false => Cow::Owned(format!("{dir}/{}", k.as_ref())),
+            }));
+        }
+        let values = put.iter().flat_map(|(_, fields)| fields);
+        let mut batch: Vec<(&str, &[u8])> = Vec::with_capacity(total);
+        batch.extend(
+            paths
+                .iter()
+                .zip(values)
+                .map(|(p, (_, v))| (p.as_ref(), v.as_ref())),
+        );
+        if batch.is_empty() {
+            return Ok(0);
+        }
+        Ok(self.fs.write_batch_at(at, &batch, &self.creds)?)
+    }
+
+    /// [`Self::put_objects_at`] addressed by path: `open_dir` + it + `close`.
+    pub fn put_objects<F, K, V>(
+        &self,
+        dir: &VPath,
+        objects: impl IntoIterator<Item = Object<F>>,
+    ) -> YancResult<usize>
+    where
+        F: FnOnce(bool) -> YancResult<Vec<(K, V)>>,
+        K: AsRef<str>,
+        V: AsRef<[u8]>,
+    {
+        self.with_fd(self.fs.open_dir(dir.as_str(), &self.creds)?, |at| {
+            self.put_objects_at(at, objects)
+        })
+    }
+
+    /// Run `f` on a descriptor this call owns, closing it whatever `f` says.
+    fn with_fd<T>(&self, fd: Fd, f: impl FnOnce(Fd) -> YancResult<T>) -> YancResult<T> {
+        let out = f(fd);
+        let _ = self.fs.close(fd, &self.creds);
+        out
+    }
+
+    /// The entry names of the collection directory `dir` (one `readdir`).
+    pub(crate) fn names_in(&self, dir: &VPath) -> YancResult<Vec<String>> {
+        let entries = self.fs.readdir(dir.as_str(), &self.creds)?;
+        Ok(entries.into_iter().map(|e| e.name).collect())
+    }
+
+    /// The one list-and-read loop: every regular file directly inside
+    /// `dir` as `(name, contents)`; subdirectories (`counters/`) are skipped.
+    pub(crate) fn read_fields(&self, dir: &VPath) -> YancResult<Vec<(String, String)>> {
+        let mut files = Vec::new();
+        for e in self.fs.readdir(dir.as_str(), &self.creds)? {
+            if e.file_type != FileType::Directory {
+                let path = dir.join(&e.name);
+                files.push((e.name, self.fs.read_to_string(path.as_str(), &self.creds)?));
+            }
+        }
+        Ok(files)
+    }
+
+    // ------------------------------------------------------------------
     // Switches & ports
     // ------------------------------------------------------------------
 
     /// Create a switch object with its metadata files (normally done by the
-    /// driver after the features handshake).
+    /// driver after the features handshake): one `mkdirat` (the schema hook
+    /// builds `counters/`, `flows/` and `ports/`) and one batch — **4
+    /// charged syscalls per switch** however many files the schema carries.
+    /// Re-running on an existing switch (driver swap, §4.1 re-handshake)
+    /// refreshes the files in place.
+    #[allow(clippy::too_many_arguments)] // mirrors the features reply, field for field
     pub fn create_switch(
         &self,
         name: &str,
@@ -261,26 +403,20 @@ impl YancFs {
         actions: u32,
         num_buffers: u32,
         num_tables: u8,
+        protocol: Option<&str>,
     ) -> YancResult<()> {
-        let dir = self.switch_dir(name);
-        self.fs
-            .mkdir_all(dir.as_str(), Mode::DIR_DEFAULT, &self.creds)?;
-        // The hook creates skeleton dirs on mkdir; fill the files.
-        for d in schema::SWITCH_DIRS {
-            self.fs
-                .mkdir_all(dir.join(d).as_str(), Mode::DIR_DEFAULT, &self.creds)?;
-        }
-        let files: [(&str, String); 5] = [
-            ("id", format!("0x{dpid:016x}")),
-            ("capabilities", format!("0x{capabilities:x}")),
-            ("actions", format!("0x{actions:x}")),
-            ("num_buffers", num_buffers.to_string()),
-            ("num_tables", num_tables.to_string()),
-        ];
-        for (f, v) in files {
-            self.fs
-                .write_file(dir.join(f).as_str(), v.as_bytes(), &self.creds)?;
-        }
+        let fields = |_fresh| {
+            let mut f = vec![
+                ("id", format!("0x{dpid:016x}")),
+                ("capabilities", format!("0x{capabilities:x}")),
+                ("actions", format!("0x{actions:x}")),
+                ("num_buffers", num_buffers.to_string()),
+                ("num_tables", num_tables.to_string()),
+            ];
+            f.extend(protocol.map(|p| ("protocol", p.to_string())));
+            Ok(f)
+        };
+        self.put_objects(&self.switches_dir(), [Object::new(name, fields)])?;
         Ok(())
     }
 
@@ -291,12 +427,7 @@ impl YancFs {
 
     /// List switch names.
     pub fn list_switches(&self) -> YancResult<Vec<String>> {
-        Ok(self
-            .fs
-            .readdir(self.switches_dir().as_str(), &self.creds)?
-            .into_iter()
-            .map(|e| e.name)
-            .collect())
+        self.names_in(&self.switches_dir())
     }
 
     /// Read a switch's datapath id from its `id` file.
@@ -308,166 +439,38 @@ impl YancFs {
         u64::from_str_radix(t, 16).map_err(|_| YancError::parse("id", s))
     }
 
-    /// Create a port directory with its files.
-    pub fn create_port(
-        &self,
-        sw: &str,
-        port: u16,
-        hw_addr: &str,
-        curr_speed: u32,
-        max_speed: u32,
-    ) -> YancResult<()> {
-        let dir = self.port_dir(sw, port);
-        self.fs
-            .mkdir_all(dir.as_str(), Mode::DIR_DEFAULT, &self.creds)?;
-        self.fs.mkdir_all(
-            dir.join("counters").as_str(),
-            Mode::DIR_DEFAULT,
-            &self.creds,
-        )?;
-        self.fs.write_file(
-            dir.join("hw_addr").as_str(),
-            hw_addr.as_bytes(),
-            &self.creds,
-        )?;
-        self.fs.write_file(
-            dir.join("curr_speed").as_str(),
-            curr_speed.to_string().as_bytes(),
-            &self.creds,
-        )?;
-        self.fs.write_file(
-            dir.join("max_speed").as_str(),
-            max_speed.to_string().as_bytes(),
-            &self.creds,
-        )?;
-        // Config files are initialized only if absent: re-materializing a
-        // port (e.g. on a PortStatus) must not clobber admin state.
-        for (f, v) in [("config.port_down", "0"), ("config.port_status", "up")] {
-            if !self.fs.exists(dir.join(f).as_str(), &self.creds) {
-                self.fs
-                    .write_file(dir.join(f).as_str(), v.as_bytes(), &self.creds)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// [`Self::create_switch`] with a fixed syscall budget, independent of
-    /// how many metadata files the schema carries: `open_dir` on
-    /// `switches/`, one `mkdirat` (the schema hook builds `counters/`,
-    /// `flows/` and `ports/`), one `write_batch_at` landing all six files
-    /// (including `protocol`), `close` — **4 charged syscalls per switch**
-    /// where the path-addressed sequence pays ~10. Re-running on an
-    /// existing switch (driver swap, §4.1 re-handshake) refreshes the
-    /// files in place.
-    #[allow(clippy::too_many_arguments)] // mirrors the features reply, field for field
-    pub fn create_switch_batch(
-        &self,
-        name: &str,
-        dpid: u64,
-        capabilities: u32,
-        actions: u32,
-        num_buffers: u32,
-        num_tables: u8,
-        protocol: &str,
-    ) -> YancResult<()> {
-        let switches = self
-            .fs
-            .open_dir(self.switches_dir().as_str(), &self.creds)?;
-        match self
-            .fs
-            .mkdirat(switches, name, Mode::DIR_DEFAULT, &self.creds)
-        {
-            Ok(()) => {}
-            Err(e) if e.errno == Errno::EEXIST => {}
-            Err(e) => {
-                let _ = self.fs.close(switches, &self.creds);
-                return Err(e.into());
-            }
-        }
-        let files: [(String, String); 6] = [
-            (format!("{name}/id"), format!("0x{dpid:016x}")),
-            (
-                format!("{name}/capabilities"),
-                format!("0x{capabilities:x}"),
-            ),
-            (format!("{name}/actions"), format!("0x{actions:x}")),
-            (format!("{name}/num_buffers"), num_buffers.to_string()),
-            (format!("{name}/num_tables"), num_tables.to_string()),
-            (format!("{name}/protocol"), protocol.to_string()),
-        ];
-        let borrowed: Vec<(&str, &[u8])> = files
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_bytes()))
-            .collect();
-        let res = self.fs.write_batch_at(switches, &borrowed, &self.creds);
-        let _ = self.fs.close(switches, &self.creds);
-        res?;
-        Ok(())
-    }
-
-    /// Materialize every port of a switch in one descriptor-relative
-    /// sweep: `open_dir` on the switch, one `mkdirat` per port (the hook
-    /// seeds each port's `counters/`), one `write_batch_at` for all port
-    /// files, `close` — **ports + 3 charged syscalls** for the whole set,
-    /// where [`Self::create_port`] pays ~7 per port. Admin state
+    /// Materialize ports of a switch in one sweep: one `mkdirat` per port
+    /// (the hook seeds each port's `counters/`) and one batch for all port
+    /// files — **ports + 3 charged syscalls** for the whole set; a
+    /// hot-plugged port is the one-element case. Admin state
     /// (`config.port_down`) is seeded on fresh ports and preserved on
-    /// re-materialization unless the switch reports the port disabled —
-    /// the same contract as `create_port` + `set_port_down`.
-    pub fn create_ports_batch(&self, sw: &str, ports: &[PortSpec]) -> YancResult<()> {
-        if ports.is_empty() {
-            return Ok(());
-        }
-        let dir = self
-            .fs
-            .open_dir(self.switch_dir(sw).as_str(), &self.creds)?;
-        let mut entries: Vec<(String, String)> = Vec::with_capacity(ports.len() * 5);
-        for p in ports {
-            let rel = format!("ports/p{}", p.port_no);
-            let fresh = match self.fs.mkdirat(dir, &rel, Mode::DIR_DEFAULT, &self.creds) {
-                Ok(()) => true,
-                Err(e) if e.errno == Errno::EEXIST => false,
-                Err(e) => {
-                    let _ = self.fs.close(dir, &self.creds);
-                    return Err(e.into());
+    /// re-materialization unless the switch reports the port disabled.
+    pub fn create_ports(&self, sw: &str, ports: &[PortSpec]) -> YancResult<()> {
+        let objects = ports.iter().map(|p| {
+            Object::new(&format!("ports/p{}", p.port_no), move |fresh| {
+                let status = if p.link_up { "up" } else { "down" };
+                let mut f = vec![
+                    ("hw_addr", p.hw_addr.clone()),
+                    ("curr_speed", p.curr_speed.to_string()),
+                    ("max_speed", p.max_speed.to_string()),
+                    ("config.port_status", status.to_string()),
+                ];
+                if fresh || p.config_down {
+                    let down = if p.config_down { "1" } else { "0" };
+                    f.push(("config.port_down", down.to_string()));
                 }
-            };
-            entries.push((format!("{rel}/hw_addr"), p.hw_addr.clone()));
-            entries.push((format!("{rel}/curr_speed"), p.curr_speed.to_string()));
-            entries.push((format!("{rel}/max_speed"), p.max_speed.to_string()));
-            entries.push((
-                format!("{rel}/config.port_status"),
-                if p.link_up { "up" } else { "down" }.to_string(),
-            ));
-            if fresh || p.config_down {
-                entries.push((
-                    format!("{rel}/config.port_down"),
-                    if p.config_down { "1" } else { "0" }.to_string(),
-                ));
-            }
-        }
-        let borrowed: Vec<(&str, &[u8])> = entries
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_bytes()))
-            .collect();
-        let res = self.fs.write_batch_at(dir, &borrowed, &self.creds);
-        let _ = self.fs.close(dir, &self.creds);
-        res?;
+                Ok(f)
+            })
+        });
+        self.put_objects(&self.switch_dir(sw), objects)?;
         Ok(())
     }
 
     /// List a switch's port numbers.
     pub fn list_ports(&self, sw: &str) -> YancResult<Vec<u16>> {
-        let mut out = Vec::new();
-        for e in self
-            .fs
-            .readdir(self.switch_dir(sw).join("ports").as_str(), &self.creds)?
-        {
-            if let Some(n) = e.name.strip_prefix('p') {
-                if let Ok(p) = n.parse() {
-                    out.push(p);
-                }
-            }
-        }
+        let names = self.names_in(&self.switch_dir(sw).join("ports"))?;
+        let port_no = |n: &String| n.strip_prefix('p')?.parse().ok();
+        let mut out: Vec<u16> = names.iter().filter_map(port_no).collect();
         out.sort_unstable();
         Ok(out)
     }
@@ -536,12 +539,9 @@ impl YancFs {
         let vp = VPath::new(&target);
         let comps: Vec<&str> = vp.components().collect();
         // …/switches/<sw>/ports/p<no>
-        if comps.len() >= 4 && comps[comps.len() - 2] == "ports" {
-            let peer_sw = comps[comps.len() - 3].to_string();
-            if let Some(pn) = comps[comps.len() - 1].strip_prefix('p') {
-                if let Ok(p) = pn.parse() {
-                    return Ok(Some((peer_sw, p)));
-                }
+        if let [_, .., peer_sw, "ports", port] = comps.as_slice() {
+            if let Some(Ok(p)) = port.strip_prefix('p').map(str::parse) {
+                return Ok(Some((peer_sw.to_string(), p)));
             }
         }
         Err(YancError::schema(format!("malformed peer target {target}")))
@@ -565,198 +565,139 @@ impl YancFs {
     // Flows (paper §3.4)
     // ------------------------------------------------------------------
 
-    /// Write (or rewrite) a flow and commit it by bumping `version` last.
-    /// Drivers watching the flow react only to the version bump, making the
-    /// multi-file update atomic from their perspective.
+    /// Write (or rewrite) a flow and commit it by bumping `version` last:
+    /// [`Self::open_flows_dir`] + [`Self::write_flow_at`] + `close`. What a
+    /// *shell* pays for the same install, one path-resolved call per
+    /// file, is experiment E4.
     pub fn write_flow(&self, sw: &str, name: &str, spec: &FlowSpec) -> YancResult<u64> {
-        let dir = self.flow_dir(sw, name);
-        if !self.fs.exists(dir.as_str(), &self.creds) {
-            // A *new* flow consumes one slot of the caller's flow quota
-            // (EDQUOT past it); rewrites of an existing flow are free.
-            if self.creds.uid.0 != 0 {
-                self.fs.rctl().charge_flow(self.creds.uid.0, dir.as_str())?;
-            }
-            if let Err(e) = self.fs.mkdir(dir.as_str(), Mode::DIR_DEFAULT, &self.creds) {
-                if self.creds.uid.0 != 0 {
-                    self.fs.rctl().release_flow(self.creds.uid.0);
-                }
-                return Err(e.into());
-            }
-        }
-        // Current committed version governs the new one.
-        let cur = self.flow_version(sw, name).unwrap_or(0);
-        let next = cur + 1;
-
-        // Remove stale field files not present in the new spec.
-        let fresh = spec.to_files();
-        let keep: Vec<&str> = fresh.iter().map(|(k, _)| k.as_str()).collect();
-        for e in self.fs.readdir(dir.as_str(), &self.creds)? {
-            if e.name == "version" || e.name == "counters" {
-                continue;
-            }
-            if !keep.contains(&e.name.as_str()) {
-                self.fs.unlink(dir.join(&e.name).as_str(), &self.creds)?;
-            }
-        }
-        for (file, value) in &fresh {
-            if file == "version" {
-                continue;
-            }
-            self.fs
-                .write_file(dir.join(file).as_str(), value.as_bytes(), &self.creds)?;
-        }
-        // Commit.
-        self.fs.write_file(
-            dir.join("version").as_str(),
-            next.to_string().as_bytes(),
-            &self.creds,
-        )?;
-        Ok(next)
+        self.with_fd(self.open_flows_dir(sw)?, |flows| {
+            self.write_flow_at(flows, name, spec)
+        })
     }
 
     /// Read a flow directory into a [`FlowSpec`].
     pub fn read_flow(&self, sw: &str, name: &str) -> YancResult<FlowSpec> {
-        let dir = self.flow_dir(sw, name);
-        let mut files: Vec<(String, String)> = Vec::new();
-        for e in self.fs.readdir(dir.as_str(), &self.creds)? {
-            if e.file_type == yanc_vfs::FileType::Directory {
-                continue; // counters/
-            }
-            let content = self
-                .fs
-                .read_to_string(dir.join(&e.name).as_str(), &self.creds)?;
-            files.push((e.name, content));
-        }
+        let files = self.read_fields(&self.flow_dir(sw, name))?;
         FlowSpec::from_files(files.iter().map(|(k, v)| (k.as_str(), v.as_str())))
     }
 
     /// The committed version of a flow.
     pub fn flow_version(&self, sw: &str, name: &str) -> YancResult<u64> {
         let p = self.flow_dir(sw, name).join("version");
-        let s = self.fs.read_to_string(p.as_str(), &self.creds)?;
-        s.trim().parse().map_err(|_| YancError::parse("version", s))
+        parse_version(&self.fs.read_to_string(p.as_str(), &self.creds)?)
     }
 
     /// Delete a flow (recursive rmdir; the driver sees the Delete event).
+    /// The flow-quota slot goes back to the uid that was charged for it —
+    /// the directory's owner — whoever removes it (the driver removes
+    /// expired flows as root). Looking the owner up costs one `stat`, paid
+    /// only while some uid has a flow quota.
     pub fn delete_flow(&self, sw: &str, name: &str) -> YancResult<()> {
-        self.fs
-            .rmdir(self.flow_dir(sw, name).as_str(), &self.creds)?;
-        if self.creds.uid.0 != 0 {
-            self.fs.rctl().release_flow(self.creds.uid.0);
+        let dir = self.flow_dir(sw, name);
+        let rctl = self.fs.rctl();
+        let metered = |uid: &u32| rctl.limits(*uid).is_some_and(|l| l.max_flows.is_some());
+        let owner = match rctl.limited_uids().iter().any(metered) {
+            true => self.fs.stat(dir.as_str(), &self.creds).ok(),
+            false => None,
+        };
+        self.fs.rmdir(dir.as_str(), &self.creds)?;
+        if let Some(st) = owner {
+            rctl.release_flow(st.uid.0);
         }
         Ok(())
     }
 
     /// List flow names on a switch.
     pub fn list_flows(&self, sw: &str) -> YancResult<Vec<String>> {
-        Ok(self
-            .fs
-            .readdir(self.switch_dir(sw).join("flows").as_str(), &self.creds)?
-            .into_iter()
-            .map(|e| e.name)
-            .collect())
+        self.names_in(&self.switch_dir(sw).join("flows"))
     }
-
-    // ------------------------------------------------------------------
-    // Flows, descriptor-relative (the E21 fast path)
-    // ------------------------------------------------------------------
 
     /// Open a descriptor on `<sw>/flows`, paying the prefix resolution
     /// once. Subsequent [`Self::write_flow_at`] calls are O(1) in path
-    /// depth: `mkdirat` + one batched write instead of ~3 + #fields
-    /// path-resolved syscalls per flow.
+    /// depth: `mkdirat` + one batched write per flow.
     pub fn open_flows_dir(&self, sw: &str) -> YancResult<Fd> {
         Ok(self
             .fs
             .open_dir(self.switch_dir(sw).join("flows").as_str(), &self.creds)?)
     }
 
-    /// [`Self::write_flow`] through a flows-directory descriptor: `mkdirat`
-    /// plus **one** `write_batch_at` submission that writes every field and
-    /// commits `version` last — the driver sees the identical
-    /// Create/CloseWrite sequence as the path-addressed slow path.
-    ///
-    /// One caveat, stated rather than hidden: a *rewrite* that removes
-    /// match/action fields leaves the stale field files in place (there is
-    /// no `unlinkat` yet); use [`Self::write_flow`] when a rewrite changes
-    /// the flow's shape. Fresh installs — the install-storm case the paper's
-    /// §8.1 worries about — are exact.
+    /// Write (or rewrite) the flow `name` through a flows-directory
+    /// descriptor: `mkdirat` plus **one** batch that writes every field and
+    /// commits `version` last, so a driver watching the flow reacts once, to
+    /// the complete update. A *new* flow takes one slot of the caller's
+    /// flow quota (`EDQUOT` past it); a rewrite is free, and first removes
+    /// the field files the new spec no longer names.
     pub fn write_flow_at(&self, flows: Fd, name: &str, spec: &FlowSpec) -> YancResult<u64> {
-        // Quota first, exactly as the slow path: a *new* flow costs a slot.
-        if self.creds.uid.0 != 0 {
-            self.fs.rctl().charge_flow(self.creds.uid.0, name)?;
+        let (rctl, uid) = (self.fs.rctl(), self.creds.uid.0);
+        // At quota the directory is not created, so only a rewrite goes on.
+        let slot = rctl.charge_flow(uid, name);
+        let (mut created, mut version) = (false, 0);
+        let fields = |fresh| -> YancResult<Vec<(String, String)>> {
+            created = fresh;
+            let mut fields = spec.to_files();
+            fields.retain(|(k, _)| k != "version");
+            // The YancHook seeds `version` = 0 on mkdir.
+            version = 1 + match fresh {
+                true => 0,
+                false => self.prune_flow_at(flows, name, &fields)?,
+            };
+            fields.push(("version".into(), version.to_string()));
+            Ok(fields)
+        };
+        let flow = Object {
+            mkdir: slot.is_ok(),
+            ..Object::new(name, fields)
+        };
+        let put = self.put_objects_at(flows, [flow]);
+        if slot.is_ok() && !created {
+            rctl.release_flow(uid); // rewrites are free; so is a failed mkdirat
         }
-        let fresh_dir = match self.fs.mkdirat(flows, name, Mode::DIR_DEFAULT, &self.creds) {
-            Ok(()) => true,
-            Err(e) if e.errno == Errno::EEXIST => {
-                if self.creds.uid.0 != 0 {
-                    self.fs.rctl().release_flow(self.creds.uid.0); // rewrites are free
+        match (put, slot) {
+            (Ok(_), _) => Ok(version),
+            (Err(e), Err(quota)) if e.errno() == Some(Errno::ENOENT) => Err(quota.into()),
+            (Err(e), _) => Err(e),
+        }
+    }
+
+    /// The rewrite half of [`Self::write_flow_at`]: through a descriptor
+    /// on the flow itself, remove every field file `keep` does not name
+    /// (never `version`, `counters/` or the driver's `error`) and return
+    /// the committed `version`.
+    fn prune_flow_at(&self, flows: Fd, name: &str, keep: &[(String, String)]) -> YancResult<u64> {
+        self.with_fd(self.fs.openat_dir(flows, name, &self.creds)?, |dir| {
+            for e in self.fs.readdir_fd(dir)? {
+                let kept = e.file_type == FileType::Directory
+                    || ["version", "error"].contains(&e.name.as_str())
+                    || keep.iter().any(|(k, _)| *k == e.name);
+                if !kept {
+                    self.fs.unlinkat(dir, &e.name, &self.creds)?;
                 }
-                false
             }
-            Err(e) => {
-                if self.creds.uid.0 != 0 {
-                    self.fs.rctl().release_flow(self.creds.uid.0);
-                }
-                return Err(e.into());
-            }
-        };
-        // The YancHook seeds `version` = 0 on mkdir; a pre-existing flow's
-        // committed version is read through the descriptor (openat + read).
-        let next = if fresh_dir {
-            1
-        } else {
-            let vfd = self.fs.openat(
-                flows,
-                &format!("{name}/version"),
-                OpenFlags::read_only(),
-                &self.creds,
-            )?;
-            let bytes = self.fs.read(vfd, 32)?;
-            self.fs.close(vfd, &self.creds)?;
-            let s = String::from_utf8_lossy(&bytes);
-            let cur: u64 = s
-                .trim()
-                .parse()
-                .map_err(|_| YancError::parse("version", s.to_string()))?;
-            cur + 1
-        };
-        let fields = spec.to_files();
-        let mut entries: Vec<(String, Vec<u8>)> = fields
-            .iter()
-            .filter(|(k, _)| k.as_str() != "version")
-            .map(|(k, v)| (format!("{name}/{k}"), v.as_bytes().to_vec()))
-            .collect();
-        // `version` last: its CloseWrite is the commit the driver reacts to.
-        entries.push((format!("{name}/version"), next.to_string().into_bytes()));
-        let borrowed: Vec<(&str, &[u8])> = entries
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_slice()))
-            .collect();
-        self.fs.write_batch_at(flows, &borrowed, &self.creds)?;
-        Ok(next)
+            let flags = OpenFlags::read_only();
+            let bytes = self.with_fd(self.fs.openat(dir, "version", flags, &self.creds)?, |v| {
+                Ok(self.fs.read(v, 32)?)
+            })?;
+            parse_version(&String::from_utf8_lossy(&bytes))
+        })
     }
 
     // ------------------------------------------------------------------
     // Counters
     // ------------------------------------------------------------------
 
-    /// Write a counter file under an object's `counters/` directory.
+    /// Write a counter file under an object's `counters/` directory: the
+    /// one-entry case of [`Self::write_counters_batch`].
     pub fn write_counter(&self, object_dir: &VPath, name: &str, value: u64) -> YancResult<()> {
-        let p = object_dir.join("counters").join(name);
-        Ok(self
-            .fs
-            .write_file(p.as_str(), value.to_string().as_bytes(), &self.creds)?)
+        self.write_counters_batch(object_dir, &[(format!("counters/{name}"), value)])?;
+        Ok(())
     }
 
     /// Land many counter values under one object tree in a single charged
-    /// write: `open_dir` + one [`yanc_vfs::Filesystem::write_batch_at`] +
-    /// `close` — three syscalls total no matter how many counters a stats
-    /// reply carries (compare [`Self::write_counter`]: one charged write
-    /// *per counter*). Entry paths are relative to `base_dir` (e.g.
-    /// `ports/p3/counters/rx_packets`); every intermediate directory must
-    /// already exist, which `create_switch`/`create_port` and the flow
-    /// mkdir hook guarantee for the driver's uses.
+    /// write: `open_dir` + one batch + `close` — three syscalls total no
+    /// matter how many counters a stats reply carries. Entry paths are
+    /// relative to `base_dir` (e.g. `ports/p3/counters/rx_packets`); every
+    /// intermediate directory must already exist, which `create_switch`,
+    /// `create_ports` and the flow mkdir hook guarantee for the driver.
     pub fn write_counters_batch(
         &self,
         base_dir: &VPath,
@@ -765,16 +706,12 @@ impl YancFs {
         if entries.is_empty() {
             return Ok(0);
         }
-        let dir = self.fs.open_dir(base_dir.as_str(), &self.creds)?;
-        let rendered: Vec<(&str, Vec<u8>)> = entries
-            .iter()
-            .map(|(p, v)| (p.as_str(), v.to_string().into_bytes()))
-            .collect();
-        let borrowed: Vec<(&str, &[u8])> =
-            rendered.iter().map(|(p, b)| (*p, b.as_slice())).collect();
-        let res = self.fs.write_batch_at(dir, &borrowed, &self.creds);
-        let _ = self.fs.close(dir, &self.creds);
-        Ok(res?)
+        let fields = |_fresh| Ok(entries.iter().map(|(p, v)| (p, v.to_string())).collect());
+        let set = Object {
+            mkdir: false,
+            ..Object::new("", fields)
+        };
+        self.put_objects(base_dir, [set])
     }
 
     /// Read a counter file (0 when absent).
@@ -785,6 +722,41 @@ impl YancFs {
             .ok()
             .and_then(|s| s.trim().parse().ok())
             .unwrap_or(0)
+    }
+
+    // ------------------------------------------------------------------
+    // Hosts (Figure 2's `hosts/`)
+    // ------------------------------------------------------------------
+
+    /// Write (or refresh) the host record `hosts/<name>/`.
+    pub fn write_host(&self, name: &str, host: &HostRecord) -> YancResult<()> {
+        let fields = |_fresh| {
+            let mut f = vec![("mac", host.mac.to_string())];
+            f.extend(host.ip.map(|ip| ("ip", ip.to_string())));
+            let at = host.location.as_ref();
+            f.extend(at.map(|(sw, port)| ("location", format!("{sw}:{port}"))));
+            Ok(f)
+        };
+        self.put_objects(&self.root.join(HOSTS), [Object::new(name, fields)])?;
+        Ok(())
+    }
+
+    /// Read every host record that parses: `(name, record)`.
+    pub fn read_hosts(&self) -> YancResult<Vec<(String, HostRecord)>> {
+        let dir = self.root.join(HOSTS);
+        let mut out = Vec::new();
+        for e in self.fs.readdir(dir.as_str(), &self.creds)? {
+            let files = self.read_fields(&dir.join(&e.name)).unwrap_or_default();
+            let get = |f: &str| files.iter().find(|(k, _)| k == f).map(|(_, v)| v.trim());
+            if let Some(mac) = get("mac").and_then(|s| s.parse().ok()) {
+                let ip = get("ip").and_then(|s| s.parse().ok());
+                let location = get("location")
+                    .and_then(|s| s.rsplit_once(':'))
+                    .and_then(|(sw, p)| Some((sw.to_string(), p.parse().ok()?)));
+                out.push((e.name, HostRecord { mac, ip, location }));
+            }
+        }
+        Ok(out)
     }
 
     // ------------------------------------------------------------------
@@ -813,86 +785,54 @@ impl YancFs {
 
     /// Publish a packet-in into *every* subscribed app's buffer
     /// ("our current design concurrently feeds packet-in messages to all
-    /// applications interested in such events").
+    /// applications interested in such events"): `open_dir` on `events/`,
+    /// one listing, one `mkdirat` per subscriber, one batch for all of
+    /// them, `close`.
     pub fn publish_packet_in(&self, rec: &PacketInRecord) -> YancResult<usize> {
-        let apps: Vec<String> = self
-            .fs
-            .readdir(self.events_dir().as_str(), &self.creds)?
-            .into_iter()
-            .map(|e| e.name)
-            .collect();
-        let seq = self.event_seq.fetch_add(1, Ordering::Relaxed);
-        for app in &apps {
-            let dir = self.events_dir().join(app).join(&format!("{seq:016}"));
-            self.fs
-                .mkdir_all(dir.as_str(), Mode::DIR_DEFAULT, &self.creds)?;
-            self.fs.write_file(
-                dir.join("switch").as_str(),
-                rec.switch.as_bytes(),
-                &self.creds,
-            )?;
-            self.fs.write_file(
-                dir.join("in_port").as_str(),
-                rec.in_port.to_string().as_bytes(),
-                &self.creds,
-            )?;
-            self.fs.write_file(
-                dir.join("reason").as_str(),
-                rec.reason.as_bytes(),
-                &self.creds,
-            )?;
-            if let Some(id) = rec.buffer_id {
-                self.fs.write_file(
-                    dir.join("buffer_id").as_str(),
-                    id.to_string().as_bytes(),
-                    &self.creds,
-                )?;
-            }
-            self.fs.write_file(
-                dir.join("data").as_str(),
-                hex_encode(&rec.data).as_bytes(),
-                &self.creds,
-            )?;
-        }
-        Ok(apps.len())
+        let mut entry = vec![
+            ("switch", rec.switch.clone()),
+            ("in_port", rec.in_port.to_string()),
+            ("reason", rec.reason.clone()),
+        ];
+        entry.extend(rec.buffer_id.map(|id| ("buffer_id", id.to_string())));
+        entry.push(("data", hex_encode(&rec.data)));
+        let events = self.fs.open_dir(self.events_dir().as_str(), &self.creds)?;
+        self.with_fd(events, |events| {
+            let apps = self.fs.readdir_fd(events)?;
+            let seq = self.event_seq.fetch_add(1, Ordering::Relaxed);
+            let entries = apps.iter().map(|app| {
+                Object::new(&format!("{}/{seq:016}", app.name), |_fresh| {
+                    Ok(entry.iter().map(|(k, v)| (*k, v.as_str())).collect())
+                })
+            });
+            self.put_objects_at(events, entries)?;
+            Ok(apps.len())
+        })
     }
 
     /// List pending packet-in entry names for an app.
     pub fn list_packet_ins(&self, app: &str) -> YancResult<Vec<String>> {
-        Ok(self
-            .fs
-            .readdir(self.events_dir().join(app).as_str(), &self.creds)?
-            .into_iter()
-            .map(|e| e.name)
-            .collect())
+        self.names_in(&self.events_dir().join(app))
     }
 
     /// Read one packet-in entry.
     pub fn read_packet_in(&self, app: &str, entry: &str) -> YancResult<PacketInRecord> {
+        fn number<T: std::str::FromStr>(file: &str, s: String) -> YancResult<T> {
+            s.trim().parse().map_err(|_| YancError::parse(file, s))
+        }
         let dir = self.events_dir().join(app).join(entry);
         let read = |f: &str| self.fs.read_to_string(dir.join(f).as_str(), &self.creds);
-        let switch = read("switch")?.trim().to_string();
-        let in_port = read("in_port")?
-            .trim()
-            .parse()
-            .map_err(|_| YancError::parse("in_port", "bad number"))?;
-        let reason = read("reason")?.trim().to_string();
-        let buffer_id = match read("buffer_id") {
-            Ok(s) => Some(
-                s.trim()
-                    .parse()
-                    .map_err(|_| YancError::parse("buffer_id", s.clone()))?,
-            ),
-            Err(_) => None,
-        };
-        let data =
-            hex_decode(read("data")?.trim()).ok_or_else(|| YancError::parse("data", "bad hex"))?;
         Ok(PacketInRecord {
-            switch,
-            in_port,
-            buffer_id,
-            reason,
-            data: Bytes::from(data),
+            switch: read("switch")?.trim().to_string(),
+            in_port: number("in_port", read("in_port")?)?,
+            reason: read("reason")?.trim().to_string(),
+            buffer_id: match read("buffer_id") {
+                Ok(s) => Some(number("buffer_id", s)?),
+                Err(_) => None,
+            },
+            data: hex_decode(read("data")?.trim())
+                .map(Bytes::from)
+                .ok_or_else(|| YancError::parse("data", "bad hex"))?,
         })
     }
 
@@ -903,25 +843,97 @@ impl YancFs {
             &self.creds,
         )?)
     }
+
+    // ------------------------------------------------------------------
+    // Packet-out (the `packet_out` command file of a switch)
+    // ------------------------------------------------------------------
+
+    /// Append one `packet_out` command: send the switch buffer `buffer`,
+    /// or the frame `data` when there is none, out of the comma-separated
+    /// port tokens `out`. This is the one writer of the line format;
+    /// [`parse_packet_out_line`] is its reader.
+    pub fn packet_out(
+        &self,
+        sw: &str,
+        buffer: Option<u32>,
+        in_port: u16,
+        out: &str,
+        data: &[u8],
+    ) -> YancResult<()> {
+        let line = match buffer {
+            Some(id) => format!("buffer={id} in_port={in_port} out={out}\n"),
+            None => format!(
+                "buffer=none in_port={in_port} out={out} data={}\n",
+                hex_encode(data)
+            ),
+        };
+        let path = self.packet_out_path(sw);
+        Ok(self
+            .fs
+            .append_file(path.as_str(), line.as_bytes(), &self.creds)?)
+    }
+}
+
+/// Parse one `packet_out` command line, as written by
+/// [`YancFs::packet_out`] (or `echo … >> packet_out`):
+/// `buffer=<id|none> in_port=<n> out=<tok[,tok…]> [data=<hex>]`.
+pub fn parse_packet_out_line(line: &str) -> Option<Message> {
+    let mut buffer_id = None;
+    let mut in_port = port_no::NONE;
+    let mut actions = Vec::new();
+    let mut data = Bytes::new();
+    for tok in line.split_whitespace() {
+        let (k, v) = tok.split_once('=')?;
+        match k {
+            "buffer" if v == "none" => {}
+            "buffer" => buffer_id = Some(v.parse().ok()?),
+            "in_port" => in_port = v.parse().ok()?,
+            "out" => {
+                for t in v.split(',') {
+                    actions.push(Action::out(parse_port_token("out", t).ok()?));
+                }
+            }
+            "data" => data = Bytes::from(hex_decode(v)?),
+            _ => return None,
+        }
+    }
+    if buffer_id.is_none() && data.is_empty() {
+        return None;
+    }
+    Some(Message::PacketOut {
+        buffer_id,
+        in_port,
+        actions,
+        data,
+    })
+}
+
+/// The number in a flow's `version` file.
+fn parse_version(s: &str) -> YancResult<u64> {
+    s.trim().parse().map_err(|_| YancError::parse("version", s))
 }
 
 /// Lower-case hex encoding (no external dependency).
 pub fn hex_encode(data: &[u8]) -> String {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(data.len() * 2);
     for b in data {
-        s.push_str(&format!("{b:02x}"));
+        s.push(HEX[usize::from(b >> 4)] as char);
+        s.push(HEX[usize::from(b & 0xf)] as char);
     }
     s
 }
 
-/// Inverse of [`hex_encode`].
+/// Inverse of [`hex_encode`]; `None` for odd length or any non-hex byte.
 pub fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if s.len() % 2 != 0 {
+    let nibble = |c: u8| (c as char).to_digit(16).map(|d| d as u8);
+    let bytes = s.as_bytes();
+    if bytes.len() % 2 != 0 {
         return None;
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
+    bytes
+        .chunks_exact(2)
+        .map(|p| Some(nibble(p[0])? << 4 | nibble(p[1])?))
         .collect()
 }
 
@@ -932,6 +944,15 @@ mod tests {
 
     fn yfs() -> YancFs {
         YancFs::init(Arc::new(Filesystem::new()), "/net").unwrap()
+    }
+
+    fn port(port_no: u16, hw_addr: &str) -> PortSpec {
+        PortSpec {
+            port_no,
+            hw_addr: hw_addr.into(),
+            link_up: true,
+            ..Default::default()
+        }
     }
 
     #[test]
@@ -945,13 +966,12 @@ mod tests {
     #[test]
     fn switch_lifecycle() {
         let y = yfs();
-        y.create_switch("sw1", 0xab, 0x7, 0xfff, 256, 1).unwrap();
+        y.create_switch("sw1", 0xab, 0x7, 0xfff, 256, 1, None)
+            .unwrap();
         assert_eq!(y.list_switches().unwrap(), vec!["sw1"]);
         assert_eq!(y.switch_dpid("sw1").unwrap(), 0xab);
-        y.create_port("sw1", 1, "02:00:00:00:00:01", 1_000_000, 10_000_000)
-            .unwrap();
-        y.create_port("sw1", 2, "02:00:00:00:00:02", 1_000_000, 10_000_000)
-            .unwrap();
+        let ports = [port(1, "02:00:00:00:00:01"), port(2, "02:00:00:00:00:02")];
+        y.create_ports("sw1", &ports).unwrap();
         assert_eq!(y.list_ports("sw1").unwrap(), vec![1, 2]);
         y.remove_switch("sw1").unwrap();
         assert!(y.list_switches().unwrap().is_empty());
@@ -960,8 +980,9 @@ mod tests {
     #[test]
     fn port_down_via_file_write() {
         let y = yfs();
-        y.create_switch("sw1", 1, 0, 0, 0, 1).unwrap();
-        y.create_port("sw1", 2, "02:00:00:00:00:02", 0, 0).unwrap();
+        y.create_switch("sw1", 1, 0, 0, 0, 1, None).unwrap();
+        y.create_ports("sw1", &[port(2, "02:00:00:00:00:02")])
+            .unwrap();
         assert!(!y.port_down("sw1", 2).unwrap());
         y.set_port_down("sw1", 2, true).unwrap();
         assert!(y.port_down("sw1", 2).unwrap());
@@ -976,7 +997,7 @@ mod tests {
     #[test]
     fn flow_commit_bumps_version_and_roundtrips() {
         let y = yfs();
-        y.create_switch("sw1", 1, 0, 0, 0, 1).unwrap();
+        y.create_switch("sw1", 1, 0, 0, 0, 1, None).unwrap();
         let spec = FlowSpec {
             m: FlowMatch {
                 tp_dst: Some(22),
@@ -1016,9 +1037,9 @@ mod tests {
     fn peer_links_and_topology() {
         let y = yfs();
         for (sw, dp) in [("sw1", 1u64), ("sw2", 2)] {
-            y.create_switch(sw, dp, 0, 0, 0, 1).unwrap();
-            y.create_port(sw, 1, "02:00:00:00:00:01", 0, 0).unwrap();
-            y.create_port(sw, 2, "02:00:00:00:00:02", 0, 0).unwrap();
+            y.create_switch(sw, dp, 0, 0, 0, 1, None).unwrap();
+            let ports = [port(1, "02:00:00:00:00:01"), port(2, "02:00:00:00:00:02")];
+            y.create_ports(sw, &ports).unwrap();
         }
         y.set_peer("sw1", 2, "sw2", 1).unwrap();
         y.set_peer("sw2", 1, "sw1", 2).unwrap();
@@ -1076,7 +1097,7 @@ mod tests {
     #[test]
     fn counters_via_files() {
         let y = yfs();
-        y.create_switch("sw1", 1, 0, 0, 0, 1).unwrap();
+        y.create_switch("sw1", 1, 0, 0, 0, 1, None).unwrap();
         let dir = y.switch_dir("sw1");
         assert_eq!(y.read_counter(&dir, "rx_packets"), 0);
         y.write_counter(&dir, "rx_packets", 42).unwrap();
@@ -1088,7 +1109,7 @@ mod tests {
         let y = yfs();
         y.enable_introspection().unwrap();
         y.enable_introspection().unwrap(); // idempotent
-        y.create_switch("sw1", 1, 0, 0, 0, 1).unwrap();
+        y.create_switch("sw1", 1, 0, 0, 0, 1, None).unwrap();
         let total: u64 = y
             .filesystem()
             .read_to_string("/net/.proc/vfs/syscalls/total", y.creds())
@@ -1135,16 +1156,140 @@ mod tests {
     #[test]
     fn hex_roundtrip() {
         let data = [0u8, 1, 0x7f, 0xff, 0xa5];
+        assert_eq!(hex_encode(&data), "00017fffa5");
         assert_eq!(hex_decode(&hex_encode(&data)).unwrap(), data);
+        assert_eq!(hex_decode("A5").unwrap(), [0xa5]);
         assert!(hex_decode("abc").is_none());
         assert!(hex_decode("zz").is_none());
+        assert!(hex_decode("+f").is_none());
+        // Even length, but byte 2 is inside `é`: not hex, and not a panic.
+        assert!(hex_decode("aéb").is_none());
+    }
+
+    #[test]
+    fn packet_out_line_parsing() {
+        let m = parse_packet_out_line("buffer=42 in_port=3 out=flood").unwrap();
+        match m {
+            Message::PacketOut {
+                buffer_id,
+                in_port,
+                actions,
+                ..
+            } => {
+                assert_eq!(buffer_id, Some(42));
+                assert_eq!(in_port, 3);
+                assert_eq!(actions, vec![Action::out(port_no::FLOOD)]);
+            }
+            _ => panic!(),
+        }
+        let m = parse_packet_out_line("buffer=none in_port=1 out=2,3 data=0102ff").unwrap();
+        match m {
+            Message::PacketOut {
+                buffer_id,
+                actions,
+                data,
+                ..
+            } => {
+                assert_eq!(buffer_id, None);
+                assert_eq!(actions.len(), 2);
+                assert_eq!(&data[..], &[1, 2, 0xff]);
+            }
+            _ => panic!(),
+        }
+        assert!(parse_packet_out_line("").is_none());
+        assert!(parse_packet_out_line("buffer=none in_port=1 out=flood").is_none()); // no data
+        assert!(parse_packet_out_line("junk").is_none());
+        // What `echo … >> packet_out` can append: rejected, not a panic.
+        assert!(parse_packet_out_line("buffer=none in_port=1 out=2 data=aéb").is_none());
+    }
+
+    #[test]
+    fn packet_out_writes_what_the_parser_reads() {
+        let y = yfs();
+        y.create_switch("sw1", 1, 0, 0, 0, 1, None).unwrap();
+        y.packet_out("sw1", Some(7), 3, "flood", b"ignored")
+            .unwrap();
+        y.packet_out("sw1", None, port_no::NONE, "1,2", b"\x01\xff")
+            .unwrap();
+        let file = y.packet_out_path("sw1");
+        let lines = y.filesystem().read_to_string(file.as_str(), y.creds());
+        let got: Vec<Message> = lines
+            .unwrap()
+            .lines()
+            .map(|l| parse_packet_out_line(l).unwrap())
+            .collect();
+        let out = |ports: &[u16]| ports.iter().map(|p| Action::out(*p)).collect();
+        let want = [
+            Message::PacketOut {
+                buffer_id: Some(7),
+                in_port: 3,
+                actions: out(&[port_no::FLOOD]),
+                data: Bytes::new(),
+            },
+            Message::PacketOut {
+                buffer_id: None,
+                in_port: port_no::NONE,
+                actions: out(&[1, 2]),
+                data: Bytes::from_static(b"\x01\xff"),
+            },
+        ];
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn event_entry_with_non_hex_data_is_a_parse_error() {
+        let y = yfs();
+        let _sub = y.subscribe_events("app").unwrap();
+        let rec = PacketInRecord {
+            switch: "sw1".into(),
+            in_port: 1,
+            buffer_id: None,
+            reason: "no_match".into(),
+            data: Bytes::from_static(b"\x01"),
+        };
+        y.publish_packet_in(&rec).unwrap();
+        let entry = y.list_packet_ins("app").unwrap().remove(0);
+        assert_eq!(y.read_packet_in("app", &entry).unwrap(), rec);
+        let data = y.events_dir().join("app").join(&entry).join("data");
+        y.filesystem()
+            .write_file(data.as_str(), "aéb".as_bytes(), y.creds())
+            .unwrap();
+        let e = y.read_packet_in("app", &entry).unwrap_err();
+        assert!(matches!(e, YancError::Parse { .. }), "{e}");
+    }
+
+    #[test]
+    fn host_records_roundtrip() {
+        let y = yfs();
+        let full = HostRecord {
+            mac: MacAddr::from_seed(1),
+            ip: Some("10.0.0.1".parse().unwrap()),
+            location: Some(("sw1".into(), 3)),
+        };
+        let bare = HostRecord {
+            mac: MacAddr::from_seed(2),
+            ip: None,
+            location: None,
+        };
+        y.write_host("h1", &full).unwrap();
+        y.write_host("h2", &bare).unwrap();
+        let mut got = y.read_hosts().unwrap();
+        got.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(got, [("h1".into(), full.clone()), ("h2".into(), bare)]);
+        // A refresh rewrites in place (the host moved).
+        let moved = HostRecord {
+            location: Some(("sw2".into(), 1)),
+            ..full
+        };
+        y.write_host("h1", &moved).unwrap();
+        assert!(y.read_hosts().unwrap().contains(&("h1".into(), moved)));
     }
 
     #[test]
     fn write_flow_at_matches_write_flow_exactly() {
         let y = yfs();
-        y.create_switch("sw1", 1, 0, 0, 0, 1).unwrap();
-        y.create_switch("sw2", 2, 0, 0, 0, 1).unwrap();
+        y.create_switch("sw1", 1, 0, 0, 0, 1, None).unwrap();
+        y.create_switch("sw2", 2, 0, 0, 0, 1, None).unwrap();
         let spec = FlowSpec {
             m: FlowMatch {
                 dl_type: Some(0x0800),
@@ -1156,7 +1301,7 @@ mod tests {
             idle_timeout: 30,
             ..Default::default()
         };
-        // Slow path on sw1, fd fast path on sw2.
+        // By path on sw1, through a held descriptor on sw2: one body.
         let v_slow = y.write_flow("sw1", "web", &spec).unwrap();
         let flows = y.open_flows_dir("sw2").unwrap();
         let v_fast = y.write_flow_at(flows, "web", &spec).unwrap();
@@ -1192,6 +1337,120 @@ mod tests {
         assert_eq!(y.write_flow_at(flows, "web", &spec).unwrap(), v_fast + 1);
         assert_eq!(y.flow_version("sw2", "web").unwrap(), v_fast + 1);
         fs.close(flows, y.creds()).unwrap();
+    }
+
+    #[test]
+    fn rewrite_through_a_descriptor_leaves_exactly_the_new_field_set() {
+        let y = yfs();
+        y.create_switch("sw1", 1, 0, 0, 0, 1, None).unwrap();
+        let wide = FlowSpec {
+            m: FlowMatch {
+                dl_type: Some(0x0800),
+                nw_dst: yanc_openflow::Ipv4Prefix::parse("10.1.0.0/16"),
+                tp_dst: Some(80),
+                ..Default::default()
+            },
+            actions: vec![Action::out(3)],
+            ..Default::default()
+        };
+        let narrow = FlowSpec {
+            m: FlowMatch {
+                dl_type: Some(0x0800),
+                ..Default::default()
+            },
+            actions: vec![Action::out(3)],
+            ..Default::default()
+        };
+        let fs = y.filesystem();
+        let flows = y.open_flows_dir("sw1").unwrap();
+        assert_eq!(y.write_flow_at(flows, "web", &wide).unwrap(), 1);
+        // The driver's report survives a rewrite; stale fields do not.
+        fs.write_file("/net/switches/sw1/flows/web/error", b"old", y.creds())
+            .unwrap();
+        let before = fs.counters().snapshot();
+        assert_eq!(y.write_flow_at(flows, "web", &narrow).unwrap(), 2);
+        let cost = fs.counters().snapshot().since(&before);
+        assert_eq!(cost.get(yanc_vfs::OpKind::Unlink), 2, "nw_dst and tp_dst");
+        let want = FlowSpec {
+            version: 2,
+            ..narrow.clone()
+        };
+        assert_eq!(y.read_flow("sw1", "web").unwrap(), want);
+        let mut names: Vec<String> = fs
+            .readdir("/net/switches/sw1/flows/web", y.creds())
+            .unwrap()
+            .into_iter()
+            .map(|e| e.name)
+            .collect();
+        names.sort();
+        let kept = [
+            "action.out",
+            "counters",
+            "error",
+            "match.dl_type",
+            "version",
+        ];
+        assert_eq!(names, kept);
+        // A rewrite that keeps the shape pays no unlink at all.
+        let before = fs.counters().snapshot();
+        assert_eq!(y.write_flow_at(flows, "web", &narrow).unwrap(), 3);
+        let cost = fs.counters().snapshot().since(&before);
+        assert_eq!((cost.get(yanc_vfs::OpKind::Unlink), cost.total()), (0, 8));
+        fs.close(flows, y.creds()).unwrap();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        // The primitive's contract, for any field set: what is given is
+        // what a listing reads back, byte for byte; the directory is
+        // fresh exactly once; the last file given is the last committed.
+        #[test]
+        fn materialized_object_reads_back_byte_for_byte(
+            picks in proptest::collection::vec(
+                (0u8..24, proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48)),
+                0..16,
+            ),
+        ) {
+            let mut fields: Vec<(String, Vec<u8>)> = Vec::new();
+            for (i, bytes) in picks {
+                let name = format!("attr{i}");
+                if !fields.iter().any(|(k, _)| *k == name) {
+                    fields.push((name, bytes));
+                }
+            }
+            let y = yfs();
+            let fs = y.filesystem();
+            fs.mkdir("/net/objects", Mode::DIR_DEFAULT, y.creds()).unwrap();
+            let watch = fs.watch("/net/objects").subtree().mask(EventMask::ALL);
+            let watch = watch.register().unwrap();
+            let mut fresh = Vec::new();
+            for _ in 0..2 {
+                let object = Object::new("o", |is_fresh| {
+                    fresh.push(is_fresh);
+                    Ok(fields.clone())
+                });
+                let wrote = y.put_objects(&VPath::new("/net/objects"), [object]);
+                assert_eq!(wrote.unwrap(), fields.len());
+            }
+            assert_eq!(fresh, [true, false]);
+            let mut got: Vec<(String, Vec<u8>)> = fs
+                .readdir("/net/objects/o", y.creds())
+                .unwrap()
+                .into_iter()
+                .map(|e| {
+                    let bytes = fs.read_file(&format!("/net/objects/o/{}", e.name), y.creds());
+                    (e.name, bytes.unwrap())
+                })
+                .collect();
+            got.sort();
+            let last_given = fields.last().map(|(k, _)| k.clone());
+            fields.sort();
+            assert_eq!(got, fields);
+            let commits = watch.receiver().try_iter();
+            let last_commit = commits.filter(|e| e.kind == EventKind::CloseWrite).last();
+            assert_eq!(last_commit.and_then(|e| e.name), last_given);
+        }
     }
 
     #[test]

@@ -532,12 +532,8 @@ impl OpenFlowDriver {
             }
             Message::Error { err_type, code, .. } => {
                 if let Some(sw) = self.switch_name.clone() {
-                    let p = self.yfs.switch_dir(&sw).join("last_error");
-                    let _ = self.yfs.filesystem().write_file(
-                        p.as_str(),
-                        format!("type={err_type} code={code}").as_bytes(),
-                        self.yfs.creds(),
-                    );
+                    let file = self.yfs.switch_dir(&sw).join("last_error");
+                    self.put_file(&file, &format!("type={err_type} code={code}"));
                 }
             }
             _ => {}
@@ -549,18 +545,18 @@ impl OpenFlowDriver {
             return;
         }
         let name = format!("sw{:x}", f.datapath_id);
-        // Batched materialization: skeleton mkdir + one write_batch_at
-        // carrying every metadata file (including `protocol`) — a fixed
-        // 4-syscall budget per switch, which is what keeps data-center
-        // fabrics (§8) affordable to bring up.
-        let _ = self.yfs.create_switch_batch(
+        // Skeleton mkdir + one batch carrying every metadata file
+        // (including `protocol`) — a fixed 4-syscall budget per switch,
+        // which is what keeps data-center fabrics (§8) affordable to
+        // bring up.
+        let _ = self.yfs.create_switch(
             &name,
             f.datapath_id,
             f.capabilities,
             f.actions,
             f.n_buffers,
             f.n_tables,
-            &self.version.to_string(),
+            Some(&self.version.to_string()),
         );
         self.switch_name = Some(name.clone());
         let ports = f.ports.clone();
@@ -587,20 +583,9 @@ impl OpenFlowDriver {
             Some(s) => s.clone(),
             None => return,
         };
-        // One descriptor-relative sweep for the whole port set: ports + 3
-        // charged syscalls instead of ~7 per port.
-        let specs: Vec<PortSpec> = ports
-            .iter()
-            .map(|p| PortSpec {
-                port_no: p.port_no,
-                hw_addr: p.hw_addr.to_string(),
-                curr_speed: p.curr_speed,
-                max_speed: p.max_speed,
-                link_up: !p.link_down,
-                config_down: p.config_down,
-            })
-            .collect();
-        let _ = self.yfs.create_ports_batch(&sw, &specs);
+        // One descriptor-relative sweep for the whole port set.
+        let specs: Vec<PortSpec> = ports.iter().map(port_spec).collect();
+        let _ = self.yfs.create_ports(&sw, &specs);
         for p in ports {
             self.port_down.insert(p.port_no, p.config_down);
         }
@@ -610,11 +595,7 @@ impl OpenFlowDriver {
         let sw = self.switch_name.clone().expect("features seen");
         let dir = self.yfs.switch_dir(&sw);
         // Ensure the packet_out interface file exists before watching.
-        let _ = self.yfs.filesystem().write_file(
-            dir.join("packet_out").as_str(),
-            b"",
-            self.yfs.creds(),
-        );
+        self.put_file(&self.yfs.packet_out_path(&sw), "");
         self.packet_out_offset = 0;
         self.fs_watch = self
             .yfs
@@ -646,13 +627,7 @@ impl OpenFlowDriver {
         // Create the port if it's new (hotplug), then reflect state.
         let dir = self.yfs.port_dir(&sw, desc.port_no);
         if !self.yfs.filesystem().exists(dir.as_str(), self.yfs.creds()) {
-            let _ = self.yfs.create_port(
-                &sw,
-                desc.port_no,
-                &desc.hw_addr.to_string(),
-                desc.curr_speed,
-                desc.max_speed,
-            );
+            let _ = self.yfs.create_ports(&sw, &[port_spec(&desc)]);
         }
         let _ = self.yfs.set_port_status(&sw, desc.port_no, !desc.link_down);
         let cached = self.port_down.get(&desc.port_no).copied();
@@ -791,6 +766,13 @@ impl OpenFlowDriver {
         }
     }
 
+    /// Write one of the driver's own files (`error`, `last_error`, the
+    /// `packet_out` seed); there is nobody to tell if that fails.
+    fn put_file(&self, file: &yanc_vfs::VPath, text: &str) {
+        let fs = self.yfs.filesystem();
+        let _ = fs.write_file(file.as_str(), text.as_bytes(), self.yfs.creds());
+    }
+
     /// Read a flow from the fs and install it if its version is newer than
     /// what the switch has.
     fn sync_flow(&mut self, sw: &str, flow: &str) {
@@ -805,12 +787,7 @@ impl OpenFlowDriver {
                     .map(|v| v > 0)
                     .unwrap_or(false)
                 {
-                    let p = self.yfs.flow_dir(sw, flow).join("error");
-                    let _ = self.yfs.filesystem().write_file(
-                        p.as_str(),
-                        e.to_string().as_bytes(),
-                        self.yfs.creds(),
-                    );
+                    self.put_file(&self.yfs.flow_dir(sw, flow).join("error"), &e.to_string());
                 }
                 return;
             }
@@ -847,11 +824,7 @@ impl OpenFlowDriver {
             Err(e) => {
                 // Capability mismatch (e.g. goto_table on a 1.0 driver):
                 // reported through the file system, like everything else.
-                let _ = self.yfs.filesystem().write_file(
-                    flow_dir.join("error").as_str(),
-                    e.to_string().as_bytes(),
-                    self.yfs.creds(),
-                );
+                self.put_file(&flow_dir.join("error"), &e.to_string());
             }
         }
     }
@@ -859,7 +832,7 @@ impl OpenFlowDriver {
     /// Parse appended `packet_out` lines:
     /// `buffer=<id|none> in_port=<n> out=<tok[,tok…]> [data=<hex>]`.
     fn drain_packet_out(&mut self, sw: &str) {
-        let path = self.yfs.switch_dir(sw).join("packet_out");
+        let path = self.yfs.packet_out_path(sw);
         let content = match self
             .yfs
             .filesystem()
@@ -870,11 +843,8 @@ impl OpenFlowDriver {
         };
         let fresh = &content[self.packet_out_offset.min(content.len())..];
         self.packet_out_offset = content.len();
-        let lines: Vec<String> = fresh.lines().map(str::to_string).collect();
-        for line in lines {
-            if let Some(msg) = parse_packet_out_line(&line) {
-                self.send(&msg);
-            }
+        for msg in fresh.lines().filter_map(yanc::parse_packet_out_line) {
+            self.send(&msg);
         }
         // Compact: the file is an append-only command stream; once consumed
         // it would otherwise grow (and hold memory) forever.
@@ -903,79 +873,15 @@ impl OpenFlowDriver {
     }
 }
 
-/// Parse one `packet_out` command line (see [`OpenFlowDriver`] docs).
-pub fn parse_packet_out_line(line: &str) -> Option<Message> {
-    let mut buffer_id = None;
-    let mut in_port = port_no::NONE;
-    let mut actions = Vec::new();
-    let mut data = Bytes::new();
-    for tok in line.split_whitespace() {
-        let (k, v) = tok.split_once('=')?;
-        match k {
-            "buffer" => {
-                if v != "none" {
-                    buffer_id = Some(v.parse().ok()?);
-                }
-            }
-            "in_port" => in_port = v.parse().ok()?,
-            "out" => {
-                for t in v.split(',') {
-                    actions.push(yanc_openflow::Action::out(
-                        yanc::parse_port_token("out", t).ok()?,
-                    ));
-                }
-            }
-            "data" => data = Bytes::from(yanc::hex_decode(v)?),
-            _ => return None,
-        }
-    }
-    if buffer_id.is_none() && data.is_empty() {
-        return None;
-    }
-    Some(Message::PacketOut {
-        buffer_id,
-        in_port,
-        actions,
-        data,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn packet_out_line_parsing() {
-        let m = parse_packet_out_line("buffer=42 in_port=3 out=flood").unwrap();
-        match m {
-            Message::PacketOut {
-                buffer_id,
-                in_port,
-                actions,
-                ..
-            } => {
-                assert_eq!(buffer_id, Some(42));
-                assert_eq!(in_port, 3);
-                assert_eq!(actions, vec![yanc_openflow::Action::out(port_no::FLOOD)]);
-            }
-            _ => panic!(),
-        }
-        let m = parse_packet_out_line("buffer=none in_port=1 out=2,3 data=0102ff").unwrap();
-        match m {
-            Message::PacketOut {
-                buffer_id,
-                actions,
-                data,
-                ..
-            } => {
-                assert_eq!(buffer_id, None);
-                assert_eq!(actions.len(), 2);
-                assert_eq!(&data[..], &[1, 2, 0xff]);
-            }
-            _ => panic!(),
-        }
-        assert!(parse_packet_out_line("").is_none());
-        assert!(parse_packet_out_line("buffer=none in_port=1 out=flood").is_none()); // no data
-        assert!(parse_packet_out_line("junk").is_none());
+/// What a features reply or port description says about one port, as the
+/// fs materializes it.
+fn port_spec(p: &PortDesc) -> PortSpec {
+    PortSpec {
+        port_no: p.port_no,
+        hw_addr: p.hw_addr.to_string(),
+        curr_speed: p.curr_speed,
+        max_speed: p.max_speed,
+        link_up: !p.link_down,
+        config_down: p.config_down,
     }
 }

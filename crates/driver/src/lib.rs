@@ -13,9 +13,7 @@ pub mod driver;
 pub mod par;
 pub mod runtime;
 
-pub use driver::{
-    parse_packet_out_line, DriverReadiness, DriverState, DriverStats, OpenFlowDriver,
-};
+pub use driver::{DriverReadiness, DriverState, DriverStats, OpenFlowDriver};
 pub use par::{FanIn, FanInHandle, WorkerStats};
 pub use runtime::{Runtime, SchedStats};
 

@@ -113,6 +113,21 @@ pub fn record_topology(rt: &mut Runtime) {
     }
 }
 
+/// Install `spec` as the flow directory `flow_dir` the way an operator at
+/// a shell does (paper §3.4): `mkdir`, one `echo … >` per field file, then
+/// `echo 1 > version` to commit. One path-resolved call per file — the
+/// cost §8.1 worries about, and what E4 prices.
+pub fn shell_install_flow(sh: &mut yanc_coreutils::Shell, flow_dir: &str, spec: &yanc::FlowSpec) {
+    let out = sh.run(&format!("mkdir {flow_dir}"));
+    assert!(out.success(), "mkdir {flow_dir}: {}", out.err);
+    // `to_files` puts `version` last; a first commit is version 1.
+    for (file, value) in spec.to_files() {
+        let value = if file == "version" { "1" } else { &value };
+        let out = sh.run(&format!("echo {value} > {flow_dir}/{file}"));
+        assert!(out.success(), "echo > {flow_dir}/{file}: {}", out.err);
+    }
+}
+
 /// A line of `n` switches, one host on each end switch.
 /// Port plan: port 1 = host/edge, port 2 = next switch, port 3 = previous.
 pub fn build_line(rt: &mut Runtime, n: usize, version: Version) -> Topo {

@@ -953,6 +953,37 @@ fn openat_rejects_absolute_rel_and_bad_fd() {
 }
 
 #[test]
+fn unlinkat_is_unlink_from_a_dir_descriptor() {
+    let f = fs();
+    f.mkdir_all("/d/sub", Mode::DIR_DEFAULT, &root()).unwrap();
+    f.write_file("/d/a", b"x", &root()).unwrap();
+    f.write_file("/d/sub/b", b"y", &root()).unwrap();
+    let d = f.open_dir("/d", &root()).unwrap();
+    let w = f.watch("/d").subtree().mask(EventMask::ALL);
+    let w = w.register().unwrap();
+    let before = f.counters().snapshot();
+    f.unlinkat(d, "a", &root()).unwrap();
+    f.unlinkat(d, "sub/b", &root()).unwrap();
+    let cost = f.counters().snapshot().since(&before);
+    assert_eq!((cost.total(), cost.get(OpKind::Unlink)), (2, 2));
+    assert!(!f.exists("/d/a", &root()) && !f.exists("/d/sub/b", &root()));
+    // The same events a path-addressed unlink emits, under the full path.
+    let seen: Vec<_> = w.receiver().try_iter().map(|e| (e.kind, e.path)).collect();
+    assert!(seen.contains(&(EventKind::Delete, VPath::new("/d/a"))));
+    assert!(seen.contains(&(EventKind::Delete, VPath::new("/d/sub/b"))));
+    // And the same errnos.
+    let errno = |rel: &str| f.unlinkat(d, rel, &root()).unwrap_err().errno;
+    assert_eq!(errno("a"), Errno::ENOENT);
+    assert_eq!(errno("sub"), Errno::EISDIR);
+    assert_eq!(errno("/d/sub"), Errno::EINVAL);
+    assert_eq!(
+        f.unlinkat(Fd(999_999), "a", &root()).unwrap_err().errno,
+        Errno::EBADF
+    );
+    f.close(d, &root()).unwrap();
+}
+
+#[test]
 fn pread_pwrite_leave_offset_alone() {
     let f = fs();
     f.write_file("/f", b"abcdef", &root()).unwrap();

@@ -422,11 +422,35 @@ impl Filesystem {
     /// `unlink(2)`.
     pub fn unlink(&self, path: &str, creds: &Credentials) -> VfsResult<()> {
         self.charge_uid(OpKind::Unlink, path, creds.uid)?;
-        let vp = VPath::new(path);
+        self.unlink_common(None, path, VPath::new(path), creds)
+    }
+
+    /// `unlinkat(2)`: remove `rel` (relative; `EINVAL` if absolute) under
+    /// the directory descriptor `dir` — the [`Self::mkdirat`] twin. Counted
+    /// as one `unlink` syscall.
+    pub fn unlinkat(&self, dir: Fd, rel: &str, creds: &Credentials) -> VfsResult<()> {
+        let at = self.dir_anchor(dir, rel)?;
+        let vp = at.path.join_path(rel);
+        self.charge_uid(OpKind::Unlink, vp.as_str(), creds.uid)?;
+        self.unlink_common(Some(&at), rel, vp, creds)
+    }
+
+    /// The one body of [`Self::unlink`]/[`Self::unlinkat`]; the caller has
+    /// charged the syscall. `at`/`path`/`vp` as in [`Self::mkdir_common`].
+    fn unlink_common(
+        &self,
+        at: Option<&DirAnchor>,
+        path: &str,
+        vp: VPath,
+        creds: &Credentials,
+    ) -> VfsResult<()> {
         self.validate_mutation(&vp)?;
         let events = loop {
             let mut events: Vec<PendingEvent> = Vec::new();
-            let r = self.resolve_live(&vp, creds, false)?;
+            let r = match at {
+                None => self.resolve_live(&vp, creds, false)?,
+                Some(a) => self.resolve_at(a, path, creds, false)?,
+            };
             if r.name.is_empty() {
                 // `/` has no parent entry, so the `entry_is` re-check below
                 // could never hold and the loop would spin.

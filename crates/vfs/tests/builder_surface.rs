@@ -105,6 +105,7 @@ const EXPECTED_FILESYSTEM_FNS: &[&str] = &[
     "pub fn readlink(&self, path: &str, creds: &Credentials) -> VfsResult<String>",
     "pub fn link(&self, existing: &str, newpath: &str, creds: &Credentials) -> VfsResult<()>",
     "pub fn unlink(&self, path: &str, creds: &Credentials) -> VfsResult<()>",
+    "pub fn unlinkat(&self, dir: Fd, rel: &str, creds: &Credentials) -> VfsResult<()>",
     "pub fn rename(&self, from: &str, to: &str, creds: &Credentials) -> VfsResult<()>",
     "pub fn open(&self, path: &str, flags: OpenFlags, creds: &Credentials) -> VfsResult<Fd>",
     "pub fn open_dir(&self, path: &str, creds: &Credentials) -> VfsResult<Fd>",

@@ -139,7 +139,7 @@ fn e12_concurrent_conflicting_flow_writes_converge() {
     }
     let y0 = YancFs::new(cluster.nodes[0].fs.clone(), "/net");
     let y1 = YancFs::new(cluster.nodes[1].fs.clone(), "/net");
-    y0.create_switch("sw1", 1, 0, 0, 0, 1).unwrap();
+    y0.create_switch("sw1", 1, 0, 0, 0, 1, None).unwrap();
     cluster.pump();
     // Two nodes write the same flow concurrently (before propagation).
     let a = FlowSpec {

@@ -4,7 +4,7 @@
 use yanc::{PacketInRecord, YancFs};
 use yanc_driver::Runtime;
 use yanc_openflow::Version;
-use yanc_vfs::{Acl, Credentials, Errno, Mode, Uid};
+use yanc_vfs::{Acl, AppLimits, Credentials, Errno, Mode, Uid};
 
 #[test]
 fn e5_fanout_to_n_subscribers() {
@@ -105,7 +105,7 @@ fn e9_acl_grants_one_app_access() {
 #[test]
 fn e9_flow_level_protection() {
     let yfs = YancFs::init(std::sync::Arc::new(yanc_vfs::Filesystem::new()), "/net").unwrap();
-    yfs.create_switch("sw1", 1, 0, 0, 0, 1).unwrap();
+    yfs.create_switch("sw1", 1, 0, 0, 0, 1, None).unwrap();
     let spec = yanc::FlowSpec::default();
     yfs.write_flow("sw1", "protected", &spec).unwrap();
     let fs = yfs.filesystem();
@@ -128,4 +128,49 @@ fn e9_flow_level_protection() {
     yfs.write_flow("sw1", "public", &yanc::FlowSpec::default())
         .unwrap();
     stranger.read_flow("sw1", "public").unwrap();
+}
+
+#[test]
+fn flow_quota_slot_returns_to_the_app_when_the_driver_expires_its_flows() {
+    let mut rt = Runtime::new();
+    rt.add_switch_with_driver(0x1, 2, 1, vec![Version::V1_0], Version::V1_0);
+    rt.pump().unwrap();
+    let fs = rt.yfs.filesystem().clone();
+    fs.chmod("/net/switches/sw1/flows", Mode(0o777), &Credentials::root())
+        .unwrap();
+    fs.set_app_limits(
+        Uid(2000),
+        AppLimits {
+            max_flows: Some(2),
+            ..Default::default()
+        },
+    );
+    let app = rt.yfs.with_creds(Credentials::user(2000, 2000));
+    let spec = |tp_dst: u16| yanc::FlowSpec {
+        m: yanc_openflow::FlowMatch {
+            tp_dst: Some(tp_dst),
+            ..Default::default()
+        },
+        actions: vec![yanc_openflow::Action::out(2)],
+        idle_timeout: 5,
+        ..Default::default()
+    };
+    app.write_flow("sw1", "a", &spec(1)).unwrap();
+    app.write_flow("sw1", "b", &spec(2)).unwrap();
+    let e = app.write_flow("sw1", "c", &spec(3)).unwrap_err();
+    assert_eq!(e.errno(), Some(Errno::EDQUOT));
+    // A rewrite is free, and so is the failed install above.
+    app.write_flow("sw1", "a", &spec(1)).unwrap();
+    assert_eq!(fs.rctl().usage(2000).unwrap().flows, 2);
+    rt.pump().unwrap();
+    assert_eq!(rt.net.switches[&0x1].flow_count(), 2);
+    // Both idle out; the driver, as root, removes their directories on
+    // FlowRemoved — and the slots go back to uid 2000, who was charged.
+    rt.advance(10).unwrap();
+    assert!(rt.yfs.list_flows("sw1").unwrap().is_empty());
+    assert_eq!(fs.rctl().usage(2000).unwrap().flows, 0);
+    app.write_flow("sw1", "c", &spec(3)).unwrap();
+    // Deleting one's own flow releases too, exactly once.
+    app.delete_flow("sw1", "c").unwrap();
+    assert_eq!(fs.rctl().usage(2000).unwrap().flows, 0);
 }

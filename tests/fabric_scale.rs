@@ -10,7 +10,7 @@
 //!    6 charged syscalls and 13 notify events per flow (amortized
 //!    `open`/`close` aside) no matter how many switches the flows spread
 //!    over;
-//! 3. a packet-in storm costs exactly 23 charged syscalls per packet-in,
+//! 3. a packet-in storm costs exactly 5 charged syscalls per packet-in,
 //!    whatever the fabric size;
 //! 4. an idle fabric costs zero runtime iterations — the event-driven
 //!    scheduler never touches a driver without a readiness signal.
@@ -142,10 +142,11 @@ fn bulk_install_costs_two_syscalls_per_flow() {
 
 /// One ping per edge switch, no flows installed anywhere: every ping
 /// ARPs, misses, and becomes exactly one packet-in at its edge, and each
-/// packet-in costs a fixed number of charged syscalls (driver publish +
-/// one subscriber's fan-out) whatever the fabric size.
+/// packet-in costs a fixed number of charged syscalls whatever the fabric
+/// size: the driver's publish is open + list + close on `events/`, one
+/// `mkdirat` for the one subscriber and one batch.
 #[test]
-fn packet_in_storm_costs_23_syscalls_per_packet_in() {
+fn packet_in_storm_costs_5_syscalls_per_packet_in() {
     for k in [4u16, 6] {
         let mut rt = Runtime::new();
         let topo = build_fabric(&mut rt, k, Version::V1_3);
@@ -162,7 +163,7 @@ fn packet_in_storm_costs_23_syscalls_per_packet_in() {
         rt.pump().unwrap();
         let storm_syscalls = rt.yfs.filesystem().counters().total() - before;
         assert_eq!(sub.poll().len(), n_edges, "one packet-in per stormed edge");
-        assert_eq!(storm_syscalls, 23 * n_edges as u64, "k={k}");
+        assert_eq!(storm_syscalls, 5 * n_edges as u64, "k={k}");
     }
 }
 
@@ -268,8 +269,11 @@ fn trace(rt: &mut Runtime) -> ReplayTrace {
 
 /// The trace of the serial pump (one thread walking the driver vector in
 /// index order), recorded from `driver::Runtime` at the last commit that
-/// still had a separate serial runtime. Both digests are FNV-1a over the
-/// tree, so the values are machine-independent.
+/// still had a separate serial runtime; the schedule ledger and `content`
+/// are from then. The per-op table and `schedule` were re-recorded when
+/// `write_flow` and `publish_packet_in` went through the one materializer
+/// (every row fell or stayed). Both digests are FNV-1a over the tree, so
+/// the values are machine-independent.
 fn recorded_serial_trace() -> ReplayTrace {
     ReplayTrace {
         sweeps: vec![1, 2, 1, 1, 0],
@@ -278,11 +282,11 @@ fn recorded_serial_trace() -> ReplayTrace {
         idle_pumps: 1,
         rebuilds: 1,
         per_op: vec![
-            ("stat", 224),
-            ("open", 440),
-            ("close", 440),
-            ("read", 200),
-            ("write", 240),
+            ("stat", 184),
+            ("open", 392),
+            ("close", 392),
+            ("read", 180),
+            ("write", 180),
             ("mkdir", 289),
             ("rmdir", 0),
             ("unlink", 0),
@@ -290,7 +294,7 @@ fn recorded_serial_trace() -> ReplayTrace {
             ("symlink", 0),
             ("readlink", 0),
             ("link", 0),
-            ("readdir", 112),
+            ("readdir", 92),
             ("setattr", 0),
             ("xattr", 0),
             ("truncate", 0),
@@ -300,7 +304,7 @@ fn recorded_serial_trace() -> ReplayTrace {
             ("poll", 0),
         ],
         content: 7208839857400366974,
-        schedule: 759731384130534225,
+        schedule: 11024292241210552446,
     }
 }
 

@@ -137,7 +137,7 @@ fn quota_exhaustion_surfaces_as_enospc() {
             .build(),
     );
     let yfs = yanc::YancFs::init(fs, "/net").unwrap();
-    yfs.create_switch("sw1", 1, 0, 0, 0, 1).unwrap();
+    yfs.create_switch("sw1", 1, 0, 0, 0, 1, None).unwrap();
     // Filling the flows directory eventually hits EDQUOT, reported as a
     // typed error, not a panic or partial corruption.
     let mut hit_quota = false;

@@ -134,9 +134,15 @@ fn e15_file_path_fanout_copies_by_contrast() {
     let before = yfs.filesystem().counters().snapshot();
     yfs.publish_packet_in(&rec).unwrap();
     let cost = yfs.filesystem().counters().snapshot().since(&before);
-    // Cost scales with subscriber count (≥ 5 fs ops per subscriber).
-    assert!(cost.total() >= 4 * 5, "{}", cost.report());
+    // The syscalls batch (one `mkdirat` per subscriber beside the fixed
+    // open + list + batch + close)...
+    assert_eq!(cost.total(), 4 + 4, "{}", cost.report());
+    // ...the bytes do not: every subscriber holds its own 3000-char copy.
     for s in &subs {
+        let entry = &yfs.list_packet_ins(&s.app).unwrap()[0];
+        let data = yfs.events_dir().join(&s.app).join(entry).join("data");
+        let st = yfs.filesystem().stat(data.as_str(), yfs.creds()).unwrap();
+        assert_eq!((st.size, st.nlink), (3000, 1));
         assert_eq!(s.drain_all().len(), 1);
     }
 }

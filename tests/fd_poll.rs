@@ -11,6 +11,7 @@ use std::time::Duration;
 use yanc::{FlowSpec, YancApp, YancResult};
 use yanc_coreutils::Shell;
 use yanc_driver::Runtime;
+use yanc_harness::shell_install_flow;
 use yanc_init::{ProcessSpec, ProcessState, Supervisor};
 use yanc_openflow::{Action, FlowMatch, Ipv4Prefix, Version};
 use yanc_packet::MacAddr;
@@ -62,12 +63,13 @@ fn e21_fd_relative_install_is_at_least_5x_cheaper_than_path_per_call() {
     let fs = rt.yfs.filesystem().clone();
     const N: usize = 1000;
 
-    // Path-per-call: every field file is a fresh open/write/close from /.
+    // Path-per-call is what a shell pays: every field file is a fresh
+    // open/write/close from /.
+    let mut sh = Shell::new(fs.clone());
     let before = fs.counters().snapshot();
     for i in 0..N {
-        rt.yfs
-            .write_flow(&sw, &format!("p{i}"), &rich_spec(i))
-            .unwrap();
+        let dir = format!("/net/switches/{sw}/flows/p{i}");
+        shell_install_flow(&mut sh, &dir, &rich_spec(i));
     }
     let path_cost = fs.counters().snapshot().since(&before).total();
 
@@ -83,6 +85,8 @@ fn e21_fd_relative_install_is_at_least_5x_cheaper_than_path_per_call() {
     fs.close(flows, rt.yfs.creds()).unwrap();
     let fd_cost = fs.counters().snapshot().since(&before).total();
 
+    // 5 + 3·13 files = 44 per flow by shell, 6 per flow by descriptor.
+    assert_eq!((path_cost, fd_cost), (44 * N as u64, 2 + 6 * N as u64));
     assert!(
         fd_cost * 5 <= path_cost,
         "E21 regression: fd path {fd_cost} syscalls vs path-per-call {path_cost} for {N} flows"

@@ -17,8 +17,8 @@ fn world() -> (YancFs, Shell) {
 fn fig2_top_level_hierarchy() {
     let (yfs, mut sh) = world();
     // Figure 2: /net { hosts, switches/{sw1,sw2}, views/{http,management-net} }
-    yfs.create_switch("sw1", 1, 0, 0, 0, 1).unwrap();
-    yfs.create_switch("sw2", 2, 0, 0, 0, 1).unwrap();
+    yfs.create_switch("sw1", 1, 0, 0, 0, 1, None).unwrap();
+    yfs.create_switch("sw2", 2, 0, 0, 0, 1, None).unwrap();
     yfs.create_view("http").unwrap();
     yfs.create_view("management-net").unwrap();
 
@@ -37,7 +37,8 @@ fn fig2_top_level_hierarchy() {
 #[test]
 fn fig3_switch_object() {
     let (yfs, mut sh) = world();
-    yfs.create_switch("sw1", 1, 0xc7, 0xfff, 256, 2).unwrap();
+    yfs.create_switch("sw1", 1, 0xc7, 0xfff, 256, 2, None)
+        .unwrap();
     let out = sh.run("ls /net/switches/sw1").out;
     // Figure 3 lists: counters/ flows/ ports/ actions capabilities id
     // num_buffers (we add num_tables + packet_out for multi-table and
@@ -63,7 +64,7 @@ fn fig3_switch_object() {
 #[test]
 fn fig3_flow_object() {
     let (yfs, mut sh) = world();
-    yfs.create_switch("sw1", 1, 0, 0, 0, 1).unwrap();
+    yfs.create_switch("sw1", 1, 0, 0, 0, 1, None).unwrap();
     // Figure 3's arp_flow: counters/ match.dl_type match.dl_src action.out
     // priority timeout version.
     let spec = FlowSpec {
@@ -128,11 +129,16 @@ fn fig2_nested_views_nest_arbitrarily() {
 fn port_peer_symlink_shape() {
     let (yfs, mut sh) = world();
     for (sw, d) in [("sw1", 1u64), ("sw2", 2)] {
-        yfs.create_switch(sw, d, 0, 0, 0, 1).unwrap();
-        yfs.create_port(sw, 2, "02:00:00:00:00:02", 1_000_000, 10_000_000)
-            .unwrap();
-        yfs.create_port(sw, 3, "02:00:00:00:00:03", 1_000_000, 10_000_000)
-            .unwrap();
+        yfs.create_switch(sw, d, 0, 0, 0, 1, None).unwrap();
+        let ports = [2u16, 3].map(|port_no| yanc::PortSpec {
+            port_no,
+            hw_addr: format!("02:00:00:00:00:0{port_no}"),
+            curr_speed: 1_000_000,
+            max_speed: 10_000_000,
+            link_up: true,
+            config_down: false,
+        });
+        yfs.create_ports(sw, &ports).unwrap();
     }
     yfs.set_peer("sw1", 2, "sw2", 3).unwrap();
     // ls -l renders the symlink arrow, like the paper's directory listings.

@@ -180,6 +180,51 @@ fn only_the_one_mutator_touches_the_tree() {
     );
 }
 
+/// An object is a directory of attribute files, and `yanc::YancFs` owns
+/// that rule (one materializer) together with the `packet_out` line
+/// format. An app or the driver that spells a `packet_out` line or its
+/// path by hand, or reaches for `mkdirat` / `write_batch_at` itself, is
+/// growing a second copy back outside core.
+#[test]
+fn apps_and_driver_leave_the_object_formats_to_core() {
+    const TOKENS: [&str; 4] = [
+        "\"buffer=none",
+        "join(\"packet_out\")",
+        "mkdirat(",
+        "write_batch_at(",
+    ];
+    let here = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut violations = Vec::new();
+    let mut scanned = 0;
+    for krate in ["apps", "driver"] {
+        for entry in fs::read_dir(here.join(format!("../{krate}/src"))).unwrap() {
+            let path = entry.unwrap().path();
+            let src = fs::read_to_string(&path).unwrap();
+            scanned += 1;
+            // Unit tests sit at the bottom of a file, behind `#[cfg(test)]`.
+            let code = src.split("\n#[cfg(test)]").next().unwrap();
+            for (lineno, line) in code.lines().enumerate() {
+                let code = line.split("//").next().unwrap_or("");
+                if TOKENS.iter().any(|t| code.contains(t)) {
+                    let file = path.file_name().unwrap().to_string_lossy();
+                    violations.push(format!(
+                        "crates/{krate}/src/{file}:{}: {}",
+                        lineno + 1,
+                        line.trim()
+                    ));
+                }
+            }
+        }
+    }
+    assert!(scanned >= 10, "expected the app and driver sources");
+    assert!(
+        violations.is_empty(),
+        "object or packet_out formats spelled outside yanc::YancFs (call \
+         `YancFs::packet_out` / `put_objects` instead):\n{}",
+        violations.join("\n")
+    );
+}
+
 /// The audit itself must be looking at real code: if the directories
 /// moved, the scan above would vacuously pass.
 #[test]

@@ -20,7 +20,8 @@ use std::sync::Arc;
 
 use yanc::{FlowSpec, YancApp, YancFs, YancResult};
 use yanc_apps::TopologyDaemon;
-use yanc_harness::{build_line, settle_supervised};
+use yanc_coreutils::Shell;
+use yanc_harness::{build_line, settle_supervised, shell_install_flow};
 use yanc_init::{Fault, ProcessCtx, ProcessSpec, Supervisor};
 use yanc_openflow::{Action, FlowMatch, Version};
 use yanc_vfs::{
@@ -954,7 +955,7 @@ fn journaled_install_is_charged_the_same_and_replays_cheaper_than_a_cold_build()
             fs.enable_journal();
         }
         let yfs = YancFs::init(Arc::new(fs), "/net").unwrap();
-        yfs.create_switch("sw0", 0x22, 0, 0, 0, 1).unwrap();
+        yfs.create_switch("sw0", 0x22, 0, 0, 0, 1, None).unwrap();
         let spec = |i: u64| FlowSpec {
             m: FlowMatch {
                 in_port: Some(1),
@@ -973,8 +974,11 @@ fn journaled_install_is_charged_the_same_and_replays_cheaper_than_a_cold_build()
             }
             yfs.filesystem().close(flows, yfs.creds()).unwrap();
         } else {
+            // By path is what a shell pays: one call per field file.
+            let mut sh = Shell::new(yfs.filesystem().clone());
             for i in 0..N {
-                yfs.write_flow("sw0", &format!("d{i}"), &spec(i)).unwrap();
+                let dir = format!("/net/switches/sw0/flows/d{i}");
+                shell_install_flow(&mut sh, &dir, &spec(i));
             }
         }
         yfs
@@ -987,11 +991,12 @@ fn journaled_install_is_charged_the_same_and_replays_cheaper_than_a_cold_build()
     let on = world(true, true);
     let fs = on.filesystem();
     let records = fs.journal_stats().records;
-    // Per flow: 26 syscalls by path (E4's 20 + 3·fields), 6 batched
-    // (E21), 9 journal records; the constants are the switch skeleton.
+    // Per flow: 20 syscalls by path (the shell's 5 + 3·files, E4), 6
+    // batched (E21), 9 journal records; the constants are `init` and the
+    // switch skeleton (one batch: 4 syscalls, one record per file).
     assert_eq!(
         (cold_by_path, cold_batched, records),
-        (60 + 26 * N, 62 + 6 * N, 19 + 9 * N)
+        (20 + 20 * N, 22 + 6 * N, 14 + 9 * N)
     );
     assert_eq!(
         fs.counters().total(),

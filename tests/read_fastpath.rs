@@ -369,7 +369,7 @@ fn flow_world(dcache: bool, readpath: bool) -> YancFs {
         .readpath(readpath)
         .build();
     let yfs = YancFs::init(Arc::new(fs), "/net").unwrap();
-    yfs.create_switch("sw0", 0x25, 0, 0, 0, 1).unwrap();
+    yfs.create_switch("sw0", 0x25, 0, 0, 0, 1, None).unwrap();
     let flows = yfs.open_flows_dir("sw0").unwrap();
     for i in 0..SWEEP {
         let spec = FlowSpec {

@@ -180,4 +180,21 @@ fn e4_recommit_replaces_switch_state() {
         .unwrap()
         .clone();
     assert_eq!(entry.m.tp_dst, Some(23));
+    // Rewrite through a held descriptor with a *narrower* match: the field
+    // files the new spec dropped are removed with it, so the switch ends up
+    // holding the match the writer asked for and nothing more.
+    let spec3 = yanc::FlowSpec {
+        m: yanc_openflow::FlowMatch {
+            dl_type: Some(0x0800),
+            ..Default::default()
+        },
+        ..spec2
+    };
+    let flows = rt.yfs.open_flows_dir("swa").unwrap();
+    assert_eq!(rt.yfs.write_flow_at(flows, "f", &spec3).unwrap(), 3);
+    rt.yfs.filesystem().close(flows, rt.yfs.creds()).unwrap();
+    rt.pump().unwrap();
+    let table: Vec<_> = rt.net.switches[&0xa].table(0).unwrap().iter().collect();
+    assert_eq!(table.len(), 1);
+    assert_eq!(table[0].m, spec3.m);
 }

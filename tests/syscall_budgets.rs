@@ -9,7 +9,9 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use yanc::{FlowSpec, PacketInRecord, YancFs};
+use yanc_coreutils::Shell;
 use yanc_driver::Runtime;
+use yanc_harness::shell_install_flow;
 use yanc_openflow::{Action, FlowMatch, Ipv4Prefix, Version};
 use yanc_packet::MacAddr;
 use yanc_vfs::{Credentials, Filesystem};
@@ -54,35 +56,43 @@ fn spec_with_fields(k: usize) -> FlowSpec {
 
 #[test]
 fn e4_commit_syscall_budget_via_proc() {
-    // EXPERIMENTS.md E4: 20 fixed + 3 per match field.
-    for (k, expected) in [(1usize, 23u64), (4, 32), (7, 41), (10, 50)] {
+    // EXPERIMENTS.md E4, what a shell pays: `mkdir` (5 with the hook's
+    // `version` + `counters/`) + 3 per `echo >` — 14 fixed + 3 per match
+    // field. The library route (`write_flow` = open_flows_dir +
+    // write_flow_at + close) pays 8 whatever the field count.
+    for (k, shell_expected) in [(1usize, 17u64), (4, 26), (7, 35), (10, 44)] {
         let mut rt = Runtime::new();
         rt.add_switch_with_driver(1, 4, 1, vec![Version::V1_0], Version::V1_0);
         rt.pump().unwrap();
         rt.enable_introspection().unwrap();
         let fs = rt.yfs.filesystem();
-        let before = proc_u64(fs, "/net/.proc/vfs/syscalls/total");
-        rt.yfs.write_flow("sw1", "f", &spec_with_fields(k)).unwrap();
-        let after = proc_u64(fs, "/net/.proc/vfs/syscalls/total");
+        let mut sh = Shell::new(fs.clone());
+        let total = || proc_u64(fs, "/net/.proc/vfs/syscalls/total");
+        let spec = spec_with_fields(k);
+        let before = total();
+        shell_install_flow(&mut sh, "/net/switches/sw1/flows/sh", &spec);
+        let by_shell = total() - before;
+        let before = total();
+        rt.yfs.write_flow("sw1", "lib", &spec).unwrap();
+        let by_library = total() - before;
         assert_eq!(
-            after - before,
-            expected,
+            (by_shell, by_library),
+            (shell_expected, 8),
             "flow commit with {k} match fields"
+        );
+        // Two routes, one protocol: the same flow either way.
+        assert_eq!(
+            rt.yfs.read_flow("sw1", "sh").unwrap(),
+            rt.yfs.read_flow("sw1", "lib").unwrap()
         );
     }
 }
 
 #[test]
 fn e5_fanout_syscall_budget_via_proc() {
-    // EXPERIMENTS.md E5: ~19 syscalls per subscriber, linear fan-out.
-    for (n, expected) in [
-        (1usize, 20u64),
-        (2, 39),
-        (4, 77),
-        (8, 153),
-        (16, 305),
-        (32, 609),
-    ] {
+    // EXPERIMENTS.md E5: open + list + close on `events/`, one batch, and
+    // one `mkdirat` per subscriber — linear fan-out, slope 1.
+    for n in [1usize, 2, 4, 8, 16, 32] {
         let yfs = YancFs::init(Arc::new(Filesystem::new()), "/net").unwrap();
         yfs.enable_introspection().unwrap();
         let _subs: Vec<_> = (0..n)
@@ -99,7 +109,7 @@ fn e5_fanout_syscall_budget_via_proc() {
         let before = proc_u64(fs, "/net/.proc/vfs/syscalls/total");
         yfs.publish_packet_in(&rec).unwrap();
         let after = proc_u64(fs, "/net/.proc/vfs/syscalls/total");
-        assert_eq!(after - before, expected, "publish to {n} subscribers");
+        assert_eq!(after - before, n as u64 + 4, "publish to {n} subscribers");
     }
 }
 

@@ -8,7 +8,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use yanc::{FlowSpec, YancFs};
+use yanc::{FlowSpec, PortSpec, YancFs};
 use yanc_apps::{shortest_path, RouterDaemon, TopologyDaemon, TopologyView};
 use yanc_coreutils::Shell;
 use yanc_driver::Runtime;
@@ -30,10 +30,16 @@ fn bare_world(n: usize) -> YancFs {
 }
 
 fn add_switch(y: &YancFs, name: &str) {
-    y.create_switch(name, 1, 0, 0, 0, 1).unwrap();
-    for p in 1..=PORTS {
-        y.create_port(name, p, "02:00:00:00:00:01", 0, 0).unwrap();
-    }
+    y.create_switch(name, 1, 0, 0, 0, 1, None).unwrap();
+    let ports: Vec<PortSpec> = (1..=PORTS)
+        .map(|port_no| PortSpec {
+            port_no,
+            hw_addr: "02:00:00:00:00:01".into(),
+            link_up: true,
+            ..Default::default()
+        })
+        .collect();
+    y.create_ports(name, &ports).unwrap();
 }
 
 /// `s0 -p2…p1- s1 -p2…p1- s2 …`, both directions recorded.
