@@ -22,7 +22,7 @@ use yanc_vfs::Mode;
 
 use crate::error::{YancError, YancResult};
 use crate::flowspec::FlowSpec;
-use crate::yancfs::{Object, YancFs};
+use crate::yancfs::{field, Object, YancFs};
 
 /// What transformation a view performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,9 +100,7 @@ impl YancFs {
     pub fn read_view_config(&self, name: &str) -> YancResult<ViewConfig> {
         let files = self.read_fields(&self.view_dir(name).join("config"))?;
         let get = |file: &str| {
-            let found = files.iter().find(|(k, _)| k == file);
-            found
-                .map(|(_, v)| v.as_str())
+            field(&files, file)
                 .ok_or_else(|| YancError::schema(format!("view {name} has no config/{file}")))
         };
         let kind_s = get("kind")?;

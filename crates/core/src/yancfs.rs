@@ -371,17 +371,38 @@ impl YancFs {
         Ok(entries.into_iter().map(|e| e.name).collect())
     }
 
-    /// The one list-and-read loop: every regular file directly inside
-    /// `dir` as `(name, contents)`; subdirectories (`counters/`) are skipped.
+    /// The one reader, the read twin of [`Self::put_objects_at`]: every
+    /// regular file of the object directory `name` under the descriptor
+    /// `at`, as `(name, contents)` read as (lossy) UTF-8; subdirectories
+    /// such as `counters/` are skipped. `openat_dir` + `readdir_fd` + **one**
+    /// `read_batch_at` + `close`: 4 charged syscalls whatever the field
+    /// count.
+    pub fn get_objects_at(&self, at: Fd, name: &str) -> YancResult<Vec<(String, String)>> {
+        let dir = self.fs.openat_dir(at, name, &self.creds)?;
+        self.with_fd(dir, |dir| self.read_object(dir))
+    }
+
+    /// [`Self::get_objects_at`] addressed by path: `open_dir` + the same
+    /// listing and batch + `close`, also 4 charged syscalls.
     pub(crate) fn read_fields(&self, dir: &VPath) -> YancResult<Vec<(String, String)>> {
-        let mut files = Vec::new();
-        for e in self.fs.readdir(dir.as_str(), &self.creds)? {
-            if e.file_type != FileType::Directory {
-                let path = dir.join(&e.name);
-                files.push((e.name, self.fs.read_to_string(path.as_str(), &self.creds)?));
-            }
-        }
-        Ok(files)
+        let dir = self.fs.open_dir(dir.as_str(), &self.creds)?;
+        self.with_fd(dir, |dir| self.read_object(dir))
+    }
+
+    /// The body of both reader forms: list the open object directory and
+    /// read all of its regular files in one batch.
+    fn read_object(&self, dir: Fd) -> YancResult<Vec<(String, String)>> {
+        let entries = self.fs.readdir_fd(dir)?.into_iter();
+        let names: Vec<String> = entries
+            .filter(|e| e.file_type != FileType::Directory)
+            .map(|e| e.name)
+            .collect();
+        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let bodies = self.fs.read_batch_at(dir, &refs, &self.creds)?;
+        let text = bodies
+            .iter()
+            .map(|b| String::from_utf8_lossy(b).into_owned());
+        Ok(names.into_iter().zip(text).collect())
     }
 
     // ------------------------------------------------------------------
@@ -743,20 +764,24 @@ impl YancFs {
 
     /// Read every host record that parses: `(name, record)`.
     pub fn read_hosts(&self) -> YancResult<Vec<(String, HostRecord)>> {
-        let dir = self.root.join(HOSTS);
-        let mut out = Vec::new();
-        for e in self.fs.readdir(dir.as_str(), &self.creds)? {
-            let files = self.read_fields(&dir.join(&e.name)).unwrap_or_default();
-            let get = |f: &str| files.iter().find(|(k, _)| k == f).map(|(_, v)| v.trim());
-            if let Some(mac) = get("mac").and_then(|s| s.parse().ok()) {
-                let ip = get("ip").and_then(|s| s.parse().ok());
-                let location = get("location")
-                    .and_then(|s| s.rsplit_once(':'))
-                    .and_then(|(sw, p)| Some((sw.to_string(), p.parse().ok()?)));
-                out.push((e.name, HostRecord { mac, ip, location }));
+        let hosts = self
+            .fs
+            .open_dir(self.root.join(HOSTS).as_str(), &self.creds)?;
+        self.with_fd(hosts, |hosts| {
+            let mut out = Vec::new();
+            for e in self.fs.readdir_fd(hosts)? {
+                let files = self.get_objects_at(hosts, &e.name).unwrap_or_default();
+                let get = |f: &str| field(&files, f);
+                if let Some(mac) = get("mac").and_then(|s| s.parse().ok()) {
+                    let ip = get("ip").and_then(|s| s.parse().ok());
+                    let location = get("location")
+                        .and_then(|s| s.rsplit_once(':'))
+                        .and_then(|(sw, p)| Some((sw.to_string(), p.parse().ok()?)));
+                    out.push((e.name, HostRecord { mac, ip, location }));
+                }
             }
-        }
-        Ok(out)
+            Ok(out)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -817,20 +842,23 @@ impl YancFs {
 
     /// Read one packet-in entry.
     pub fn read_packet_in(&self, app: &str, entry: &str) -> YancResult<PacketInRecord> {
-        fn number<T: std::str::FromStr>(file: &str, s: String) -> YancResult<T> {
-            s.trim().parse().map_err(|_| YancError::parse(file, s))
+        fn number<T: std::str::FromStr>(file: &str, s: &str) -> YancResult<T> {
+            s.parse().map_err(|_| YancError::parse(file, s))
         }
-        let dir = self.events_dir().join(app).join(entry);
-        let read = |f: &str| self.fs.read_to_string(dir.join(f).as_str(), &self.creds);
+        let files = self.read_fields(&self.events_dir().join(app).join(entry))?;
+        let need = |f: &str| {
+            field(&files, f)
+                .ok_or_else(|| YancError::schema(format!("packet-in {entry} has no {f}")))
+        };
         Ok(PacketInRecord {
-            switch: read("switch")?.trim().to_string(),
-            in_port: number("in_port", read("in_port")?)?,
-            reason: read("reason")?.trim().to_string(),
-            buffer_id: match read("buffer_id") {
-                Ok(s) => Some(number("buffer_id", s)?),
-                Err(_) => None,
+            switch: need("switch")?.to_string(),
+            in_port: number("in_port", need("in_port")?)?,
+            reason: need("reason")?.to_string(),
+            buffer_id: match field(&files, "buffer_id") {
+                Some(s) => Some(number("buffer_id", s)?),
+                None => None,
             },
-            data: hex_decode(read("data")?.trim())
+            data: hex_decode(need("data")?)
                 .map(Bytes::from)
                 .ok_or_else(|| YancError::parse("data", "bad hex"))?,
         })
@@ -906,6 +934,11 @@ pub fn parse_packet_out_line(line: &str) -> Option<Message> {
         actions,
         data,
     })
+}
+
+/// The trimmed contents of the attribute file `name` in a reader's result.
+pub(crate) fn field<'a>(files: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    files.iter().find(|(k, _)| k == name).map(|(_, v)| v.trim())
 }
 
 /// The number in a flow's `version` file.
@@ -1336,6 +1369,52 @@ mod tests {
         // A rewrite through the descriptor bumps the committed version.
         assert_eq!(y.write_flow_at(flows, "web", &spec).unwrap(), v_fast + 1);
         assert_eq!(y.flow_version("sw2", "web").unwrap(), v_fast + 1);
+        fs.close(flows, y.creds()).unwrap();
+    }
+
+    #[test]
+    fn the_reader_costs_four_syscalls_whatever_the_field_count() {
+        use yanc_vfs::OpKind::{Close, Open, Openat, Read, Readdir};
+        let y = yfs();
+        y.create_switch("sw1", 1, 0, 0, 0, 1, None).unwrap();
+        let fs = y.filesystem();
+        let fields = [
+            ("match.dl_type", "0x0800"),
+            ("match.nw_proto", "6"),
+            ("match.nw_src", "10.0.0.0/24"),
+            ("match.nw_dst", "10.1.0.0/16"),
+            ("match.tp_dst", "22"),
+            ("priority", "900"),
+            ("idle_timeout", "30"),
+            ("action.out", "2"),
+        ];
+        // `version` (seeded by the mkdir) plus 1 or 8 fields.
+        for (flow, n) in [("two", 1), ("nine", 8)] {
+            let dir = y.flow_dir("sw1", flow);
+            fs.mkdir(dir.as_str(), Mode::DIR_DEFAULT, y.creds())
+                .unwrap();
+            for (k, v) in &fields[..n] {
+                let file = dir.join(k);
+                fs.write_file(file.as_str(), v.as_bytes(), y.creds())
+                    .unwrap();
+            }
+        }
+        let flows = y.open_flows_dir("sw1").unwrap();
+        for (flow, files) in [("two", 2), ("nine", 9)] {
+            let before = fs.counters().snapshot();
+            let spec = y.read_flow("sw1", flow).unwrap();
+            let cost = fs.counters().snapshot().since(&before);
+            assert_eq!(spec.m.dl_type, Some(0x0800));
+            let ops = [Open, Readdir, Read, Close].map(|op| cost.get(op));
+            assert_eq!((cost.total(), ops), (4, [1, 1, 1, 1]), "{flow}");
+            // The descriptor form: the same four calls, `openat` for `open`.
+            let before = fs.counters().snapshot();
+            let got = y.get_objects_at(flows, flow).unwrap();
+            let cost = fs.counters().snapshot().since(&before);
+            assert_eq!(got.len(), files, "counters/ is not a field");
+            let ops = [Openat, Readdir, Read, Close].map(|op| cost.get(op));
+            assert_eq!((cost.total(), ops), (4, [1, 1, 1, 1]), "{flow}");
+        }
         fs.close(flows, y.creds()).unwrap();
     }
 

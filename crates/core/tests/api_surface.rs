@@ -43,6 +43,7 @@ const EXPECTED_YANCFS_FNS: &[&str] = &[
     "pub fn view_dir(&self, view: &str) -> VPath",
     "pub fn put_objects_at<F, K, V>(",
     "pub fn put_objects<F, K, V>(",
+    "pub fn get_objects_at(&self, at: Fd, name: &str) -> YancResult<Vec<(String, String)>>",
     "pub fn create_switch(",
     "pub fn remove_switch(&self, name: &str) -> YancResult<()>",
     "pub fn list_switches(&self) -> YancResult<Vec<String>>",
@@ -113,9 +114,15 @@ fn yancfs_surface_is_pinned() {
 
 #[test]
 fn the_object_rule_is_spelled_once() {
-    // `mkdirat` + one `write_batch_at` live in the materializer and the
-    // flow-quota charge in `write_flow_at`; everything else calls those.
-    for token in ["mkdirat(", "write_batch_at(", "charge_flow("] {
+    // `mkdirat` + one `write_batch_at` live in the materializer, the one
+    // `read_batch_at` in the reader and the flow-quota charge in
+    // `write_flow_at`; everything else calls those.
+    for token in [
+        "mkdirat(",
+        "write_batch_at(",
+        "read_batch_at(",
+        "charge_flow(",
+    ] {
         let hits: Vec<String> = SOURCES
             .iter()
             .flat_map(|(file, src)| {

@@ -7,9 +7,11 @@
 //! the switch's control channel and the `/net` file tree:
 //!
 //! * **fs → switch**: a committed flow (its `version` file bumped) becomes
-//!   a FlowMod; a deleted flow directory becomes a strict delete; writing
-//!   `config.port_down` becomes a PortMod; appending to the switch's
-//!   `packet_out` file becomes a PacketOut.
+//!   a FlowMod; a removed `version` (the flow directory deleted, or the file
+//!   itself) becomes a strict delete; writing `config.port_down` becomes a
+//!   PortMod; appending to the switch's `packet_out` file becomes a
+//!   PacketOut. The driver hears exactly those through one watch, and reads
+//!   flows and `packet_out` through descriptors it holds (DESIGN.md §13).
 //! * **switch → fs**: the features handshake materializes the switch and
 //!   port directories; packet-ins fan out into every app's `events/`
 //!   buffer; PortStatus updates port files; FlowRemoved removes the flow
@@ -35,7 +37,7 @@ use yanc_openflow::{
     Reassembler, StatsReply, StatsRequest, SwitchFeatures, Version,
 };
 use yanc_openflow::{flow_mod_flags, port_no, FrameCodec};
-use yanc_vfs::{Event, EventKind, EventMask, WatchGuard};
+use yanc_vfs::{Errno, Event, EventKind, EventMask, Fd, OpenFlags, Timestamp, WatchGuard};
 
 /// Driver lifecycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,12 +168,20 @@ pub struct OpenFlowDriver {
     pub switch_name: Option<String>,
     features: Option<SwitchFeatures>,
     fs_watch: Option<WatchGuard>,
+    /// Held descriptor on the switch's `flows/` directory: every flow sync
+    /// reads through it.
+    flows: Option<Fd>,
+    /// Held descriptor on the switch's `packet_out` file, drained with
+    /// `pread` from `packet_out_offset` (bytes consumed so far);
+    /// `packet_out_mtime` is the file's mtime when they were.
+    packet_out: Option<Fd>,
+    packet_out_offset: u64,
+    packet_out_mtime: Option<Timestamp>,
     installed: HashMap<String, (u64, FlowSpec)>,
     /// Flow names the driver itself is deleting (suppresses echo).
     self_deletes: HashSet<String>,
     /// Cached port-down state to suppress PortMod echo loops.
     port_down: HashMap<u16, bool>,
-    packet_out_offset: usize,
     next_xid: u32,
     /// Optional libyanc fastpath (paper §8.1): flow ops arriving here skip
     /// the file system entirely.
@@ -213,10 +223,13 @@ impl OpenFlowDriver {
             switch_name: None,
             features: None,
             fs_watch: None,
+            flows: None,
+            packet_out: None,
+            packet_out_offset: 0,
+            packet_out_mtime: None,
             installed: HashMap::new(),
             self_deletes: HashSet::new(),
             port_down: HashMap::new(),
-            packet_out_offset: 0,
             next_xid: 100,
             fastpath: None,
             stats: Arc::new(DriverStats::default()),
@@ -449,16 +462,29 @@ impl OpenFlowDriver {
                 }
             }
         }
-        // fs → driver events.
+        // fs → driver events, handled as one drained batch.
         let events: Vec<Event> = match &self.fs_watch {
             Some(w) => w.receiver().try_iter().collect(),
             None => Vec::new(),
         };
-        for ev in events {
-            worked = true;
-            self.on_fs_event(ev);
-        }
+        worked |= !events.is_empty();
+        self.on_fs_events(events);
         worked
+    }
+
+    /// Let go of what this driver holds in `/net`: its watch and its two
+    /// descriptors. Runs on drop, and the runtime calls it when it detaches
+    /// a driver, so nothing waits for the last reference to go.
+    pub(crate) fn release(&mut self) {
+        self.fs_watch = None;
+        *self.readiness.watch.lock() = None;
+        let fs = self.yfs.filesystem();
+        for fd in [self.flows.take(), self.packet_out.take()]
+            .into_iter()
+            .flatten()
+        {
+            let _ = fs.close(fd, self.yfs.creds());
+        }
     }
 
     // ------------------------------------------------------------------
@@ -593,28 +619,38 @@ impl OpenFlowDriver {
 
     fn finish_setup(&mut self) {
         let sw = self.switch_name.clone().expect("features seen");
-        let dir = self.yfs.switch_dir(&sw);
-        // Ensure the packet_out interface file exists before watching.
-        self.put_file(&self.yfs.packet_out_path(&sw), "");
-        self.packet_out_offset = 0;
-        self.fs_watch = self
-            .yfs
-            .filesystem()
-            .watch(dir.as_str())
-            .subtree()
-            .mask(EventMask::ALL)
-            .register()
-            .ok();
+        let fs = self.yfs.filesystem().clone();
+        let creds = self.yfs.creds();
+        // Create (or empty) the packet_out interface file before watching:
+        // the open and write a `write_file` makes, whose descriptor is kept
+        // for draining instead of closed.
+        let seed = OpenFlags {
+            read: true,
+            ..OpenFlags::write_create()
+        };
+        let packet_out = self.yfs.packet_out_path(&sw);
+        self.packet_out = fs.open(packet_out.as_str(), seed, creds).ok();
+        if let Some(fd) = self.packet_out {
+            let _ = fs.write(fd, b"");
+        }
+        self.flows = self.yfs.open_flows_dir(&sw).ok();
+        // One watch, filtered before anything is queued: a flow's commit
+        // file and the two command files, written or removed. Every write
+        // in the system is tested against every watch, so a driver keeps
+        // exactly one.
+        let commits = EventMask::only(EventKind::CloseWrite).or(EventMask::only(EventKind::Delete));
+        let watch = fs.watch(self.yfs.switch_dir(&sw).as_str()).subtree();
+        let watch = watch.mask(commits).named("version").named("packet_out");
+        self.fs_watch = watch.named("config.port_down").register().ok();
         *self.readiness.watch.lock() = self.fs_watch.as_ref().map(|w| w.receiver().clone());
         self.set_state(DriverState::Ready);
         self.stats.ready.store(true, Ordering::Relaxed);
         // Install any flows that already exist in the tree (e.g. written
         // before the driver attached, or by a remote controller node).
-        if let Ok(flows) = self.yfs.list_flows(&sw) {
-            for name in flows {
-                self.stats.resyncs.fetch_add(1, Ordering::Relaxed);
-                self.sync_flow(&sw, &name);
-            }
+        let listing = self.flows.and_then(|flows| fs.readdir_fd(flows).ok());
+        for e in listing.unwrap_or_default() {
+            self.stats.resyncs.fetch_add(1, Ordering::Relaxed);
+            self.sync_flow(&sw, &e.name);
         }
         self.register_proc();
     }
@@ -709,95 +745,145 @@ impl OpenFlowDriver {
     // fs-side handlers
     // ------------------------------------------------------------------
 
-    fn on_fs_event(&mut self, ev: Event) {
-        let sw = match &self.switch_name {
-            Some(s) => s.clone(),
-            None => return,
+    /// One drained batch of watch events. A flow is synced at most once
+    /// per batch between its removals: the first commit event already
+    /// reads the state every later one in the batch announces. A sync that
+    /// ends in an `error` report settles nothing, so a later commit event
+    /// retries it.
+    fn on_fs_events(&mut self, events: Vec<Event>) {
+        let Some(sw) = self.switch_name.clone() else {
+            return;
         };
-        let pos = yanc::classify(self.yfs.root(), &ev.path);
-        match (ev.kind, pos) {
-            // Flow commit: the version file changed.
-            (EventKind::CloseWrite, SchemaPos::FlowFile { flow, file, .. })
-                if file == "version" =>
-            {
-                self.sync_flow(&sw, &flow);
-            }
-            // Flow directory deleted.
-            (EventKind::Delete, SchemaPos::FlowDir { flow, .. }) => {
-                if self.self_deletes.remove(&flow) {
-                    return; // our own FlowRemoved-driven cleanup
-                }
-                if let Some((_, spec)) = self.installed.remove(&flow) {
-                    self.send(&delete_strict(&spec));
-                }
-            }
-            // Port admin state.
-            (EventKind::CloseWrite, _) if ev.path.file_name() == Some("config.port_down") => {
-                // …/ports/p<no>/config.port_down
-                let port_dir = ev.path.parent();
-                if let Some(pn) = port_dir
-                    .file_name()
-                    .and_then(|n| n.strip_prefix('p'))
-                    .and_then(|n| n.parse::<u16>().ok())
-                {
-                    if let Ok(down) = self.yfs.port_down(&sw, pn) {
-                        if self.port_down.get(&pn) != Some(&down) {
-                            self.port_down.insert(pn, down);
-                            let hw = self
-                                .features
-                                .as_ref()
-                                .and_then(|f| f.ports.iter().find(|p| p.port_no == pn))
-                                .map(|p| p.hw_addr)
-                                .unwrap_or(yanc_packet::MacAddr::ZERO);
-                            self.send(&Message::PortMod {
-                                port_no: pn,
-                                hw_addr: hw,
-                                down,
-                            });
-                        }
+        let mut synced: HashSet<String> = HashSet::new();
+        let mut drained = false;
+        for ev in events {
+            match (ev.kind, ev.name.as_deref()) {
+                (kind, Some("version")) => {
+                    let SchemaPos::FlowFile { flow, .. } =
+                        yanc::classify(self.yfs.root(), &ev.path)
+                    else {
+                        continue;
+                    };
+                    if kind == EventKind::Delete {
+                        synced.remove(&flow);
+                        self.withdraw(flow);
+                    } else if !synced.contains(&flow) && self.sync_flow(&sw, &flow) {
+                        synced.insert(flow);
                     }
                 }
+                (EventKind::CloseWrite, Some("packet_out")) if !drained => {
+                    drained = true;
+                    self.drain_packet_out(&sw);
+                }
+                (EventKind::CloseWrite, Some("config.port_down")) => {
+                    // …/ports/p<no>/config.port_down
+                    let port_dir = ev.path.parent();
+                    let port = port_dir.file_name().and_then(|n| n.strip_prefix('p'));
+                    if let Some(pn) = port.and_then(|n| n.parse::<u16>().ok()) {
+                        self.on_port_down_write(&sw, pn);
+                    }
+                }
+                _ => {}
             }
-            // Packet-out request file.
-            (EventKind::CloseWrite, _) if ev.path.file_name() == Some("packet_out") => {
-                self.drain_packet_out(&sw);
-            }
-            _ => {}
         }
     }
 
-    /// Write one of the driver's own files (`error`, `last_error`, the
-    /// `packet_out` seed); there is nobody to tell if that fails.
+    /// A flow's `version` is gone — its directory was removed, or the file
+    /// itself: take the entry it denoted off the switch.
+    fn withdraw(&mut self, flow: String) {
+        if self.self_deletes.remove(&flow) {
+            return; // our own FlowRemoved-driven cleanup
+        }
+        if let Some((_, spec)) = self.installed.remove(&flow) {
+            self.send(&delete_strict(&spec));
+        }
+    }
+
+    /// Port admin state: push a changed `config.port_down` as a PortMod.
+    fn on_port_down_write(&mut self, sw: &str, pn: u16) {
+        let Ok(down) = self.yfs.port_down(sw, pn) else {
+            return;
+        };
+        if self.port_down.get(&pn) == Some(&down) {
+            return;
+        }
+        self.port_down.insert(pn, down);
+        let hw = self
+            .features
+            .as_ref()
+            .and_then(|f| f.ports.iter().find(|p| p.port_no == pn))
+            .map(|p| p.hw_addr)
+            .unwrap_or(yanc_packet::MacAddr::ZERO);
+        self.send(&Message::PortMod {
+            port_no: pn,
+            hw_addr: hw,
+            down,
+        });
+    }
+
+    /// Write one of the driver's own report files (`error`, `last_error`);
+    /// there is nobody to tell if that fails.
     fn put_file(&self, file: &yanc_vfs::VPath, text: &str) {
         let fs = self.yfs.filesystem();
         let _ = fs.write_file(file.as_str(), text.as_bytes(), self.yfs.creds());
     }
 
-    /// Read a flow from the fs and install it if its version is newer than
-    /// what the switch has.
-    fn sync_flow(&mut self, sw: &str, flow: &str) {
-        let spec = match self.yfs.read_flow(sw, flow) {
+    /// The fields of `flow`, read through the held flows-dir descriptor
+    /// (4 charged syscalls). If the directory it holds has gone away — the
+    /// switch was removed and re-created — it is re-opened by path, once.
+    fn flow_fields(&mut self, sw: &str, flow: &str) -> Option<Vec<(String, String)>> {
+        for _ in 0..2 {
+            let flows = match self.flows {
+                Some(fd) => fd,
+                None => {
+                    self.flows = self.yfs.open_flows_dir(sw).ok();
+                    self.flows?
+                }
+            };
+            let fs = self.yfs.filesystem();
+            match self.yfs.get_objects_at(flows, flow) {
+                Ok(fields) => return Some(fields),
+                // A missing flow leaves the directory; a gone directory
+                // leaves a descriptor nothing can `fstat`.
+                Err(e) if e.errno() == Some(Errno::ENOENT) && fs.fstat(flows).is_err() => {
+                    let _ = fs.close(flows, self.yfs.creds());
+                    self.flows = None;
+                }
+                Err(_) => return None,
+            }
+        }
+        None
+    }
+
+    /// Read a flow and install it if its version is newer than what the
+    /// switch has. False when the flow could not be read or an `error`
+    /// report was written instead.
+    fn sync_flow(&mut self, sw: &str, flow: &str) -> bool {
+        let Some(fields) = self.flow_fields(sw, flow) else {
+            return false;
+        };
+        let file = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+        let spec = match FlowSpec::from_files(fields.iter().map(|(k, v)| (k.as_str(), v.as_str())))
+        {
             Ok(s) => s,
             Err(e) => {
                 // A *committed* flow that doesn't parse is a user error:
                 // report it in the flow directory, like capability gaps.
-                if self
-                    .yfs
-                    .flow_version(sw, flow)
-                    .map(|v| v > 0)
-                    .unwrap_or(false)
-                {
+                let version = file("version").and_then(|v| v.trim().parse::<u64>().ok());
+                if version.is_some_and(|v| v > 0) {
                     self.put_file(&self.yfs.flow_dir(sw, flow).join("error"), &e.to_string());
+                    return false;
                 }
-                return;
+                return true;
             }
         };
+        let stale_error = file("error").is_some();
         if spec.version == 0 {
-            return; // created but never committed
+            return true; // created but never committed
         }
         if let Some((v, old)) = self.installed.get(flow) {
             if *v >= spec.version {
-                return;
+                return true;
             }
             // The fs flow was rewritten with a different match/priority:
             // the switch entry it used to denote must go, or it lingers.
@@ -808,51 +894,88 @@ impl OpenFlowDriver {
         let mut fm = flow_mod(&spec);
         fm.flags = flow_mod_flags::SEND_FLOW_REM;
         let xid = self.xid();
-        let flow_dir = self.yfs.flow_dir(sw, flow);
         match encode(self.version, &Message::FlowMod(fm), xid) {
             Ok(bytes) => {
                 self.stats.record_tx(true);
                 let _ = self.handle.tx.send(bytes);
                 self.installed
                     .insert(flow.to_string(), (spec.version, spec));
-                // Clear any stale capability error.
-                let _ = self
-                    .yfs
-                    .filesystem()
-                    .unlink(flow_dir.join("error").as_str(), self.yfs.creds());
+                // Clear a capability error the listing showed.
+                if let (true, Some(flows)) = (stale_error, self.flows) {
+                    let error = format!("{flow}/error");
+                    let _ = self
+                        .yfs
+                        .filesystem()
+                        .unlinkat(flows, &error, self.yfs.creds());
+                }
+                true
             }
             Err(e) => {
                 // Capability mismatch (e.g. goto_table on a 1.0 driver):
                 // reported through the file system, like everything else.
-                self.put_file(&flow_dir.join("error"), &e.to_string());
+                self.put_file(&self.yfs.flow_dir(sw, flow).join("error"), &e.to_string());
+                false
             }
         }
     }
 
-    /// Parse appended `packet_out` lines:
-    /// `buffer=<id|none> in_port=<n> out=<tok[,tok…]> [data=<hex>]`.
+    /// Run the commands written to `packet_out` since the last drain, one
+    /// per line: `buffer=<id|none> in_port=<n> out=<tok[,tok…]>
+    /// [data=<hex>]`. `fstat` + `pread` from the consumed byte offset on
+    /// the held descriptor; a line that is not UTF-8 is skipped like any
+    /// other unparsable line.
     fn drain_packet_out(&mut self, sw: &str) {
+        let fs = self.yfs.filesystem().clone();
         let path = self.yfs.packet_out_path(sw);
-        let content = match self
-            .yfs
-            .filesystem()
-            .read_to_string(path.as_str(), self.yfs.creds())
-        {
-            Ok(c) => c,
-            Err(_) => return,
+        let mut reopened = false;
+        let (fd, st) = loop {
+            let held = self
+                .packet_out
+                .and_then(|fd| Some((fd, fs.fstat(fd).ok()?)));
+            match held {
+                Some((fd, st)) if st.nlink > 0 => break (fd, st),
+                _ if reopened => return,
+                // Not open, or unlinked under us (the switch was removed
+                // and re-created): re-open by path, once.
+                _ => {
+                    if let Some(fd) = self.packet_out.take() {
+                        let _ = fs.close(fd, self.yfs.creds());
+                    }
+                    let flags = OpenFlags::read_only();
+                    self.packet_out = fs.open(path.as_str(), flags, self.yfs.creds()).ok();
+                    (self.packet_out_offset, self.packet_out_mtime) = (0, None);
+                    reopened = true;
+                }
+            }
         };
-        let fresh = &content[self.packet_out_offset.min(content.len())..];
-        self.packet_out_offset = content.len();
-        for msg in fresh.lines().filter_map(yanc::parse_packet_out_line) {
-            self.send(&msg);
+        // Shorter than what was consumed: truncated (`echo cmd >
+        // packet_out`). Exactly as long but written since: truncated and
+        // refilled to the same length. Either way, start over.
+        let consumed = self.packet_out_offset;
+        let written = Some(st.mtime) != self.packet_out_mtime;
+        if st.size < consumed || (st.size == consumed && written) {
+            self.packet_out_offset = 0;
+        }
+        self.packet_out_mtime = Some(st.mtime);
+        let start = self.packet_out_offset;
+        if st.size > start {
+            let Ok(fresh) = fs.pread(fd, start, (st.size - start) as usize) else {
+                return;
+            };
+            self.packet_out_offset = start + fresh.len() as u64;
+            for line in fresh.split(|&b| b == b'\n') {
+                let msg = std::str::from_utf8(line)
+                    .ok()
+                    .and_then(yanc::parse_packet_out_line);
+                if let Some(msg) = msg {
+                    self.send(&msg);
+                }
+            }
         }
         // Compact: the file is an append-only command stream; once consumed
         // it would otherwise grow (and hold memory) forever.
         if self.packet_out_offset > 64 * 1024 {
-            let _ = self
-                .yfs
-                .filesystem()
-                .truncate(path.as_str(), 0, self.yfs.creds());
+            let _ = fs.truncate(path.as_str(), 0, self.yfs.creds());
             self.packet_out_offset = 0;
         }
     }
@@ -870,6 +993,12 @@ impl OpenFlowDriver {
             table_id: 0xff,
             m: yanc_openflow::FlowMatch::any(),
         }));
+    }
+}
+
+impl Drop for OpenFlowDriver {
+    fn drop(&mut self) {
+        self.release();
     }
 }
 

@@ -345,13 +345,26 @@ impl Runtime {
     }
 
     /// Re-attach a switch to a fresh driver (protocol upgrade, §4.1): the
-    /// old driver is dropped, the switch re-handshakes.
+    /// old driver releases its watch and descriptors and is dropped, the
+    /// switch re-handshakes.
     pub fn swap_driver(&mut self, dpid: u64, driver_version: Version) {
         let name = format!("sw{dpid:x}");
-        self.drivers
-            .retain(|d| d.lock().switch_name.as_deref() != Some(name.as_str()));
+        self.detach_where(|d| d.switch_name.as_deref() == Some(name.as_str()));
         self.net.detach_controller(dpid);
         self.attach_driver(dpid, driver_version);
+    }
+
+    /// Remove the drivers `doomed` picks, each releasing what it holds in
+    /// `/net` first: a pool worker may still hold a reference for a moment.
+    fn detach_where(&mut self, doomed: impl Fn(&OpenFlowDriver) -> bool) {
+        self.drivers.retain(|d| {
+            let mut d = d.lock();
+            let gone = doomed(&d);
+            if gone {
+                d.release();
+            }
+            !gone
+        });
     }
 
     /// Drivers currently in [`DriverState::Failed`], as
@@ -385,10 +398,7 @@ impl Runtime {
             } else {
                 continue;
             };
-            self.drivers.retain(|d| {
-                let d = d.lock();
-                !(d.dpid() == dpid && d.state() == DriverState::Failed)
-            });
+            self.detach_where(|d| d.dpid() == dpid && d.state() == DriverState::Failed);
             self.net.detach_controller(dpid);
             self.attach_driver(dpid, version);
             reattached += 1;
@@ -844,29 +854,30 @@ mod tests {
         }
     }
 
+    /// A `packet_out` line sending a UDP frame to `h2` out of port 2.
+    fn udp_packet_out_line(rt: &Runtime, h2: u64) -> String {
+        let frame = yanc_packet::build_udp(
+            yanc_packet::MacAddr::from_seed(99),
+            rt.net.hosts[&h2].mac,
+            ip("10.0.0.9"),
+            ip("10.0.0.2"),
+            1234,
+            5678,
+            Bytes::from_static(b"hello"),
+        );
+        format!(
+            "buffer=none in_port={} out=2 data={}\n",
+            port_no::CONTROLLER,
+            yanc::hex_encode(&frame)
+        )
+    }
+
     #[test]
     fn packet_out_file_interface() {
         for workers in WORKERS {
             let (mut rt, name, _h1, h2) = two_host_rt(Version::V1_0, workers);
-            // Craft a frame and packet-out it via the file interface.
-            let frame = yanc_packet::build_udp(
-                yanc_packet::MacAddr::from_seed(99),
-                rt.net.hosts[&h2].mac,
-                ip("10.0.0.9"),
-                ip("10.0.0.2"),
-                1234,
-                5678,
-                Bytes::from_static(b"hello"),
-            );
-            let line = format!(
-                "buffer=none in_port=controller out=2 data={}\n",
-                yanc::hex_encode(&frame)
-            );
-            // Fix in_port token: numeric required.
-            let line = line.replace(
-                "in_port=controller",
-                &format!("in_port={}", port_no::CONTROLLER),
-            );
+            // Packet-out a crafted frame via the file interface.
+            let line = udp_packet_out_line(&rt, h2);
             rt.yfs
                 .filesystem()
                 .append_file(
@@ -878,6 +889,47 @@ mod tests {
             rt.pump().unwrap();
             assert_eq!(rt.net.hosts[&h2].udp_received.len(), 1);
             assert_eq!(rt.net.hosts[&h2].udp_received[0].dst_port, 5678);
+        }
+    }
+
+    #[test]
+    fn packet_out_rewritten_with_the_same_line_runs_it_again() {
+        for workers in WORKERS {
+            let (mut rt, name, _h1, h2) = two_host_rt(Version::V1_0, workers);
+            let (fs, creds) = (rt.yfs.filesystem().clone(), rt.yfs.creds().clone());
+            let path = rt.yfs.packet_out_path(&name);
+            let line = udp_packet_out_line(&rt, h2);
+            fs.append_file(path.as_str(), line.as_bytes(), &creds)
+                .unwrap();
+            rt.pump().unwrap();
+            // `echo … > packet_out`: truncated, then refilled to exactly
+            // the length the driver had already consumed.
+            fs.write_file(path.as_str(), line.as_bytes(), &creds)
+                .unwrap();
+            rt.pump().unwrap();
+            assert_eq!(rt.net.hosts[&h2].udp_received.len(), 2);
+        }
+    }
+
+    #[test]
+    fn packet_out_rewrite_splitting_a_character_is_skipped_not_a_panic() {
+        for workers in WORKERS {
+            let (mut rt, name, _h1, h2) = two_host_rt(Version::V1_0, workers);
+            let (fs, creds) = (rt.yfs.filesystem().clone(), rt.yfs.creds().clone());
+            let path = rt.yfs.packet_out_path(&name);
+            fs.append_file(path.as_str(), b"xyz\n", &creds).unwrap();
+            rt.pump().unwrap();
+            // The consumed offset (4) now falls inside the second `é`: the
+            // bytes past it are no UTF-8 line, and no command.
+            fs.write_file(path.as_str(), "aéé\n".as_bytes(), &creds)
+                .unwrap();
+            rt.pump().unwrap();
+            // The driver is still serving the file.
+            let line = udp_packet_out_line(&rt, h2);
+            fs.append_file(path.as_str(), line.as_bytes(), &creds)
+                .unwrap();
+            rt.pump().unwrap();
+            assert_eq!(rt.net.hosts[&h2].udp_received.len(), 1);
         }
     }
 

@@ -9,7 +9,9 @@
 
 use std::net::Ipv4Addr;
 
+use yanc::FlowSpec;
 use yanc_apps::{LearningSwitch, RouterDaemon, TopologyDaemon};
+use yanc_dataplane::FlowEntry;
 use yanc_driver::Runtime;
 use yanc_openflow::Version;
 
@@ -78,6 +80,88 @@ pub fn settle_supervised(rt: &mut Runtime, sup: &mut yanc_init::Supervisor) {
         steps += 1;
         assert!(steps < 10_000, "supervised settle did not converge");
     }
+}
+
+/// The flow half of the cross-layer oracle: does `/net` agree with what
+/// the switches actually hold? For every simulated switch, each committed
+/// flow directory under `/net/switches/sw<dpid>/flows` (version ≥ 1, no
+/// `error` file) must match exactly one entry of that switch's tables, and
+/// each table entry exactly one such directory. Match, priority, actions,
+/// timeouts, cookie and goto-table must all agree. `Err` names the first
+/// disagreement. Flows installed through a libyanc fastpath have no
+/// directory, so a runtime using one fails the check by design.
+///
+/// The directories are read like any reader would (one `open_dir` and
+/// listing per switch, then the 4-call object reader per flow), so the
+/// check is charged to the syscall counters.
+pub fn check_flows(rt: &Runtime) -> Result<(), String> {
+    for (dpid, switch) in &rt.net.switches {
+        let sw = format!("sw{dpid:x}");
+        let dirs = committed_flows(&rt.yfs, &sw)?;
+        let tables = (0..=u8::MAX).map_while(|t| switch.table(t));
+        // What each table entry says, in a flow directory's terms.
+        let entries: Vec<FlowSpec> = tables
+            .flat_map(|t| t.iter())
+            .map(|e: &FlowEntry| FlowSpec {
+                m: e.m,
+                actions: e.actions.clone(),
+                priority: e.priority,
+                idle_timeout: e.idle_timeout,
+                hard_timeout: e.hard_timeout,
+                cookie: e.cookie,
+                goto_table: e.goto_table,
+                version: 0,
+            })
+            .collect();
+        for (name, spec) in &dirs {
+            let n = entries.iter().filter(|e| *e == spec).count();
+            if n != 1 {
+                return Err(format!(
+                    "{sw}: flow {name} matches {n} table entries: {spec:?}"
+                ));
+            }
+        }
+        for e in &entries {
+            let n = dirs.iter().filter(|(_, spec)| spec == e).count();
+            if n != 1 {
+                return Err(format!(
+                    "{sw}: table entry matches {n} flow directories: {e:?}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The committed flows of `sw` as `(name, spec)`: version ≥ 1 and no
+/// `error` report, the version then cleared (a switch entry has none). A
+/// switch with no `flows/` directory has none.
+fn committed_flows(yfs: &yanc::YancFs, sw: &str) -> Result<Vec<(String, FlowSpec)>, String> {
+    let Ok(flows) = yfs.open_flows_dir(sw) else {
+        return Ok(Vec::new());
+    };
+    let fs = yfs.filesystem();
+    let read = || {
+        let mut out = Vec::new();
+        for entry in fs.readdir_fd(flows).map_err(|e| format!("{sw}: {e}"))? {
+            let fail = |e: &dyn std::fmt::Display| format!("{sw}: flow {}: {e}", entry.name);
+            let fields = yfs
+                .get_objects_at(flows, &entry.name)
+                .map_err(|e| fail(&e))?;
+            if fields.iter().any(|(k, _)| k == "error") {
+                continue;
+            }
+            let files = fields.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+            match FlowSpec::from_files(files).map_err(|e| fail(&e))? {
+                spec if spec.version == 0 => {}
+                spec => out.push((entry.name, FlowSpec { version: 0, ..spec })),
+            }
+        }
+        Ok(out)
+    };
+    let out = read();
+    let _ = fs.close(flows, yfs.creds());
+    out
 }
 
 /// A built topology: switch dpids plus attached hosts.

@@ -109,21 +109,32 @@ impl Filesystem {
     // The two skeletons
     // ----------------------------------------------------------------
 
-    /// The one read-side skeleton: resolve `vp` (following symlinks), take
-    /// the inode's shard read lock, require Read access (`EACCES`), and let
-    /// `f` copy out its answer; retry from resolution when the inode
-    /// vanished in between.
+    /// [`Self::read_node`] of the object at `vp` (symlinks followed).
     pub(super) fn read_inode<R>(
         &self,
         vp: &VPath,
         creds: &Credentials,
         f: impl Fn(&Inode) -> VfsResult<R>,
     ) -> VfsResult<R> {
+        let lookup = || self.lookup_live(vp, creds, true);
+        self.read_node(lookup, vp.as_str(), creds, f)
+    }
+
+    /// The one read-side skeleton: `lookup` the inode, take its shard read
+    /// lock, require Read access (`EACCES` naming `what`), and let `f` copy
+    /// out its answer; retry from the lookup when the inode vanished in
+    /// between.
+    pub(super) fn read_node<R>(
+        &self,
+        lookup: impl Fn() -> VfsResult<Ino>,
+        what: &str,
+        creds: &Credentials,
+        f: impl Fn(&Inode) -> VfsResult<R>,
+    ) -> VfsResult<R> {
         loop {
-            let ino = self.lookup_live(vp, creds, true)?;
-            let read = self.tables.with_inode(ino, |node| {
+            let read = self.tables.with_inode(lookup()?, |node| {
                 if !permits(node, creds, Access::Read) {
-                    return err(Errno::EACCES, vp.as_str());
+                    return err(Errno::EACCES, what);
                 }
                 f(node)
             });

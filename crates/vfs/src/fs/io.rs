@@ -1,6 +1,7 @@
 //! The open-file table and data I/O: `open` and its `*at` forms, the
 //! `read`/`write` families, `close`/`fsync`/`fstat`, descriptor listing,
-//! the vectored `write_batch_at`, and the whole-file conveniences.
+//! the vectored `write_batch_at`/`read_batch_at` pair, and the whole-file
+//! conveniences.
 //!
 //! Every descriptor syscall enters through [`Filesystem::fd_enter`] (one
 //! lock-free identity read, one charge) and every positional/sequential
@@ -624,6 +625,43 @@ impl Filesystem {
             hooks.push(PendingHook::CloseWrite(full));
             return Ok(());
         }
+    }
+
+    // ----------------------------------------------------------------
+    // Vectored descriptor-relative read
+    // ----------------------------------------------------------------
+
+    /// Vectored descriptor-relative read, the twin of
+    /// [`Self::write_batch_at`]: **one** charged `read` syscall returns the
+    /// whole contents of every file in `names`, in order, each resolved
+    /// from the directory descriptor `dir` (names may be relative
+    /// multi-component paths). No handle is created. Each entry needs what
+    /// `openat` + `read` would need: traversal to it and Read permission
+    /// on it (`EACCES`); a directory is `EISDIR`. Contents are copied under
+    /// the file's shard read lock. The call fails fast: the first entry
+    /// that cannot be read ends it with an error naming that entry.
+    pub fn read_batch_at(
+        &self,
+        dir: Fd,
+        names: &[&str],
+        creds: &Credentials,
+    ) -> VfsResult<Vec<Vec<u8>>> {
+        let at = self.dir_anchor(dir, "fd")?;
+        self.charge_uid(OpKind::Read, at.path.as_str(), creds.uid)?;
+        let read_one = |rel: &&str| {
+            let full = at.path.join_path(rel);
+            self.pre_access(full.as_str());
+            let lookup = || {
+                let r = self.resolve_at(&at, rel, creds, true)?;
+                r.target
+                    .ok_or_else(|| VfsError::new(Errno::ENOENT, full.as_str()))
+            };
+            self.read_node(lookup, full.as_str(), creds, |node| match &node.kind {
+                NodeKind::File(d) => Ok(d.clone()),
+                _ => err(Errno::EISDIR, full.as_str()),
+            })
+        };
+        names.iter().map(read_one).collect()
     }
 
     // ----------------------------------------------------------------

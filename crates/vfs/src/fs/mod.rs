@@ -395,7 +395,7 @@ impl Filesystem {
             path: VPath::new(path),
             subtree: false,
             mask: EventMask::ALL,
-            name: None,
+            names: Vec::new(),
             creds: None,
         }
     }
@@ -472,7 +472,7 @@ pub struct WatchBuilder<'fs> {
     path: VPath,
     subtree: bool,
     mask: EventMask,
-    name: Option<String>,
+    names: Vec<String>,
     creds: Option<Credentials>,
 }
 
@@ -492,10 +492,13 @@ impl WatchBuilder<'_> {
 
     /// Deliver only events whose entry name is exactly `name` — with
     /// [`Self::subtree`], "every `peer` link under `/net/switches`" is one
-    /// watch. Everything else is discarded before it is queued, so the
-    /// watch costs an idle consumer no memory however busy the subtree is.
+    /// watch. Repeatable: each call adds a name, and an event passes if its
+    /// name is any of them, so "every `version` and `packet_out` under a
+    /// switch" is one watch too. Everything else is discarded before it is
+    /// queued, so the watch costs an idle consumer no memory however busy
+    /// the subtree is.
     pub fn named(mut self, name: &str) -> Self {
-        self.name = Some(name.to_string());
+        self.names.push(name.to_string());
         self
     }
 
@@ -525,7 +528,7 @@ impl WatchBuilder<'_> {
         } else {
             Scope::Path(self.path)
         };
-        let (id, rx) = self.fs.notify.add(scope, self.mask, self.name, owner);
+        let (id, rx) = self.fs.notify.add(scope, self.mask, self.names, owner);
         Ok(WatchGuard {
             hub: self.fs.notify.clone(),
             id,

@@ -984,6 +984,43 @@ fn unlinkat_is_unlink_from_a_dir_descriptor() {
 }
 
 #[test]
+fn read_batch_at_is_one_read_and_checks_what_openat_would() {
+    let f = fs();
+    f.mkdir_all("/d/sub", Mode::DIR_DEFAULT, &root()).unwrap();
+    f.write_file("/d/a", b"x", &root()).unwrap();
+    f.write_file("/d/sub/b", b"yz", &root()).unwrap();
+    f.write_file("/d/empty", b"", &root()).unwrap();
+    let d = f.open_dir("/d", &root()).unwrap();
+    let (handles, before) = (f.open_handle_count(), f.counters().snapshot());
+    let got = f.read_batch_at(d, &["a", "sub/b", "empty"], &root());
+    assert_eq!(got.unwrap(), [b"x".to_vec(), b"yz".to_vec(), Vec::new()]);
+    let cost = f.counters().snapshot().since(&before);
+    assert_eq!((cost.total(), cost.get(OpKind::Read)), (1, 1));
+    assert_eq!(f.open_handle_count(), handles, "no handle is created");
+    // Fails fast, naming the entry that could not be read.
+    let fail = |names: &[&str]| f.read_batch_at(d, names, &root()).unwrap_err();
+    let e = fail(&["a", "gone", "sub/b"]);
+    assert_eq!((e.errno, e.operand.as_str()), (Errno::ENOENT, "/d/gone"));
+    assert_eq!(fail(&["sub"]).errno, Errno::EISDIR);
+    assert_eq!(fail(&["/d/a"]).errno, Errno::EINVAL);
+    // Read permission on the file, as `openat` + `read` would need.
+    let alice = Credentials::user(1000, 1000);
+    f.chmod("/d/a", Mode(0o600), &root()).unwrap();
+    let da = f.open_dir("/d", &alice).unwrap();
+    let e = f.read_batch_at(da, &["sub/b", "a"], &alice).unwrap_err();
+    assert_eq!((e.errno, e.operand.as_str()), (Errno::EACCES, "/d/a"));
+    assert_eq!(f.read_batch_at(da, &["sub/b"], &alice).unwrap(), [b"yz"]);
+    assert_eq!(
+        f.read_batch_at(Fd(999_999), &["a"], &root())
+            .unwrap_err()
+            .errno,
+        Errno::EBADF
+    );
+    f.close(da, &alice).unwrap();
+    f.close(d, &root()).unwrap();
+}
+
+#[test]
 fn pread_pwrite_leave_offset_alone() {
     let f = fs();
     f.write_file("/f", b"abcdef", &root()).unwrap();

@@ -105,9 +105,9 @@ struct Watch {
     id: WatchId,
     scope: Scope,
     mask: EventMask,
-    /// Deliver only events whose entry name is exactly this
-    /// ([`crate::WatchBuilder::named`]).
-    name: Option<String>,
+    /// Deliver only events whose entry name is one of these; empty means
+    /// any name ([`crate::WatchBuilder::named`]).
+    names: Vec<String>,
     owner: Option<u32>,
     tx: Sender<Event>,
     /// Serializes the quota check with the enqueue for THIS watch: without
@@ -150,7 +150,7 @@ impl NotifyHub {
         &self,
         scope: Scope,
         mask: EventMask,
-        name: Option<String>,
+        names: Vec<String>,
         owner: Option<u32>,
     ) -> (WatchId, Receiver<Event>) {
         let (tx, rx) = unbounded();
@@ -159,7 +159,7 @@ impl NotifyHub {
             id,
             scope,
             mask,
-            name,
+            names,
             owner,
             tx,
             gate: Mutex::new(()),
@@ -169,12 +169,12 @@ impl NotifyHub {
 
     /// inotify-style: watch `path` and (if a directory) its direct children.
     pub fn watch_path(&self, path: &VPath, mask: EventMask) -> (WatchId, Receiver<Event>) {
-        self.add(Scope::Path(path.clone()), mask, None, None)
+        self.add(Scope::Path(path.clone()), mask, Vec::new(), None)
     }
 
     /// fanotify-style: watch the whole subtree rooted at `path`.
     pub fn watch_subtree(&self, path: &VPath, mask: EventMask) -> (WatchId, Receiver<Event>) {
-        self.add(Scope::Subtree(path.clone()), mask, None, None)
+        self.add(Scope::Subtree(path.clone()), mask, Vec::new(), None)
     }
 
     /// [`Self::watch_path`] with the watch descriptor charged to `owner`, so
@@ -185,7 +185,7 @@ impl NotifyHub {
         mask: EventMask,
         owner: u32,
     ) -> (WatchId, Receiver<Event>) {
-        self.add(Scope::Path(path.clone()), mask, None, Some(owner))
+        self.add(Scope::Path(path.clone()), mask, Vec::new(), Some(owner))
     }
 
     /// [`Self::watch_subtree`] with the watch descriptor charged to `owner`.
@@ -195,7 +195,7 @@ impl NotifyHub {
         mask: EventMask,
         owner: u32,
     ) -> (WatchId, Receiver<Event>) {
-        self.add(Scope::Subtree(path.clone()), mask, None, Some(owner))
+        self.add(Scope::Subtree(path.clone()), mask, Vec::new(), Some(owner))
     }
 
     /// Cancel a watch. Returns whether it existed.
@@ -290,7 +290,8 @@ impl NotifyHub {
                         // Cheapest test first: a watch that cannot match
                         // costs every write in the system this much.
                         w.mask.contains(*kind)
-                            && (w.name.is_none() || w.name.as_deref() == name.as_deref())
+                            && (w.names.is_empty()
+                                || name.as_ref().is_some_and(|n| w.names.contains(n)))
                             && match &w.scope {
                                 // A path watch sees events on the object itself
                                 // and events whose subject sits directly
@@ -396,7 +397,7 @@ mod tests {
     fn name_filter_discards_before_queueing() {
         let hub = NotifyHub::new();
         let scope = Scope::Subtree(p("/net/switches"));
-        let (_id, rx) = hub.add(scope, EventMask::ALL, Some("peer".to_string()), None);
+        let (_id, rx) = hub.add(scope, EventMask::ALL, vec!["peer".to_string()], None);
         let port = "/net/switches/sw1/ports/p1";
         hub.emit_batch(&[
             (EventKind::Create, p(port), Some("p1".to_string())),
@@ -424,6 +425,35 @@ mod tests {
         // nothing else was delivered.
         assert_eq!((hub.delivered_events(), hub.dropped_events()), (1, 0));
         assert_eq!(hub.queued_events(), 0);
+    }
+
+    #[test]
+    fn a_name_set_passes_any_of_its_names() {
+        let hub = NotifyHub::new();
+        let names = vec!["version".to_string(), "packet_out".to_string()];
+        let mask = EventMask::only(EventKind::CloseWrite).or(EventMask::only(EventKind::Delete));
+        let (_id, rx) = hub.add(Scope::Subtree(p("/sw")), mask, names, None);
+        let ev = |kind, path: &str| (kind, p(path), p(path).file_name().map(str::to_string));
+        hub.emit_batch(&[
+            ev(EventKind::CloseWrite, "/sw/flows/f/version"),
+            ev(EventKind::CloseWrite, "/sw/flows/f/priority"),
+            ev(EventKind::Delete, "/sw/flows/f/version"),
+            ev(EventKind::Delete, "/sw/flows/f"),
+            ev(EventKind::Modify, "/sw/packet_out"),
+            ev(EventKind::CloseWrite, "/sw/packet_out"),
+        ]);
+        let got: Vec<(EventKind, String)> = rx
+            .try_iter()
+            .map(|e| (e.kind, e.path.as_str().to_string()))
+            .collect();
+        let want = [
+            (EventKind::CloseWrite, "/sw/flows/f/version"),
+            (EventKind::Delete, "/sw/flows/f/version"),
+            (EventKind::CloseWrite, "/sw/packet_out"),
+        ];
+        let want: Vec<(EventKind, String)> =
+            want.iter().map(|(k, s)| (*k, s.to_string())).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -123,6 +123,7 @@ const EXPECTED_FILESYSTEM_FNS: &[&str] = &[
     "pub fn fsync(&self, fd: Fd, creds: &Credentials) -> VfsResult<()>",
     "pub fn readdir_fd(&self, fd: Fd) -> VfsResult<Vec<DirEntry>>",
     "pub fn write_batch_at(",
+    "pub fn read_batch_at(",
     "pub fn truncate(&self, path: &str, len: u64, creds: &Credentials) -> VfsResult<()>",
     "pub fn read_file(&self, path: &str, creds: &Credentials) -> VfsResult<Vec<u8>>",
     "pub fn read_to_string(&self, path: &str, creds: &Credentials) -> VfsResult<String>",

@@ -9,7 +9,8 @@
 //! 2. bulk flow install through the descriptor fast path costs exactly
 //!    6 charged syscalls and 13 notify events per flow (amortized
 //!    `open`/`close` aside) no matter how many switches the flows spread
-//!    over;
+//!    over, and the drivers then pay exactly 4 per installed flow and
+//!    nothing per removed one;
 //! 3. a packet-in storm costs exactly 5 charged syscalls per packet-in,
 //!    whatever the fabric size;
 //! 4. an idle fabric costs zero runtime iterations — the event-driven
@@ -18,7 +19,7 @@
 use yanc::FlowSpec;
 use yanc_dataplane::{FabricTier, FatTree};
 use yanc_driver::Runtime;
-use yanc_harness::build_fabric;
+use yanc_harness::{build_fabric, check_flows};
 use yanc_openflow::{port_no, Action, FlowMatch, Version};
 use yanc_vfs::{EventMask, OpKind};
 
@@ -83,7 +84,15 @@ fn bulk_install_costs_two_syscalls_per_flow() {
         .map(|s| s.name.clone())
         .collect();
     assert_eq!(edges.len(), 8);
+    // Exactly one watch per driver: every write in the system is tested
+    // against every watch.
+    let watches = rt.yfs.filesystem().notify().watch_count();
+    assert_eq!(watches, topo.switches.len());
     const FLOWS_PER_SWITCH: usize = 8;
+    let flows = (edges.len() * FLOWS_PER_SWITCH) as u64;
+    let fs = rt.yfs.filesystem().clone();
+    let hub = fs.notify();
+    let delivered_before = hub.delivered_events();
     let watch = rt
         .yfs
         .filesystem()
@@ -121,14 +130,34 @@ fn bulk_install_costs_two_syscalls_per_flow() {
     );
     // Notify traffic is an exact per-flow rate too (the flows-dir
     // open/close itself queues nothing).
+    let emitted = watch.receiver().try_iter().count() as u64;
     assert_eq!(
-        watch.receiver().try_iter().count(),
-        edges.len() * 13 * FLOWS_PER_SWITCH,
+        emitted,
+        13 * flows,
         "bulk install notify rate drifted from 13 events/flow"
     );
     drop(watch);
-    // The drivers pick every install up from the watch stream.
+    // Of those, each driver's one watch queues the two `version` commits
+    // (the schema hook's seed and the batch's last file) and nothing else.
+    let driver_events = hub.delivered_events() - delivered_before - emitted;
+    assert_eq!(
+        driver_events,
+        2 * flows,
+        "driver queues: 2 events per install"
+    );
+    // The drivers pick every install up from the watch stream: one read
+    // of each flow through the held flows-dir descriptor, coalescing both
+    // commits — openat + readdir + one batched read + close.
+    let before = rt.yfs.filesystem().counters().snapshot();
     rt.pump().unwrap();
+    let sync = rt.yfs.filesystem().counters().snapshot().since(&before);
+    let per_op = [OpKind::Openat, OpKind::Readdir, OpKind::Read, OpKind::Close];
+    assert_eq!(
+        (sync.total(), per_op.map(|op| sync.get(op))),
+        (4 * flows, [flows; 4]),
+        "driver sync budget drifted: {}",
+        sync.report()
+    );
     for sw in &edges {
         let mut names = rt.yfs.list_flows(sw).unwrap();
         names.sort();
@@ -137,6 +166,24 @@ fn bulk_install_costs_two_syscalls_per_flow() {
             assert_eq!(rt.yfs.flow_version(sw, &format!("f{i}")).unwrap(), 1);
         }
     }
+    check_flows(&rt).unwrap();
+    // Removal: one `version` Delete per flow reaches the drivers, and
+    // withdrawing the switch entries costs them no syscall at all.
+    let delivered_before = hub.delivered_events();
+    for sw in &edges {
+        for i in 0..FLOWS_PER_SWITCH {
+            rt.yfs.delete_flow(sw, &format!("f{i}")).unwrap();
+        }
+    }
+    assert_eq!(hub.delivered_events() - delivered_before, flows);
+    let before = rt.yfs.filesystem().counters().snapshot();
+    rt.pump().unwrap();
+    let withdraw = rt.yfs.filesystem().counters().snapshot().since(&before);
+    assert_eq!(withdraw.total(), 0, "{}", withdraw.report());
+    for sw in &edges {
+        assert!(rt.yfs.list_flows(sw).unwrap().is_empty());
+    }
+    check_flows(&rt).unwrap();
     drop(topo);
 }
 
@@ -182,16 +229,28 @@ fn packet_in_storm_costs_5_syscalls_per_packet_in() {
 
 /// The replay workload: bring up a k=4 fabric, packet-in storm from
 /// every host, bulk flow installs through the fs, a stats poll, and a
-/// final guaranteed-idle pump. Returns per-phase sweep counts.
-fn replay_workload(rt: &mut Runtime) -> Vec<u32> {
+/// final guaranteed-idle pump, with the flow oracle after every pump
+/// phase. Returns per-phase sweep counts and, per [`OpKind::all`] row,
+/// the syscalls the oracle was charged.
+fn replay_workload(rt: &mut Runtime) -> (Vec<u32>, Vec<u64>) {
     let mut sweeps = Vec::new();
+    let mut oracle = vec![0; OpKind::all().len()];
+    let mut phase = |rt: &mut Runtime, pump: fn(&mut Runtime) -> yanc::YancResult<u32>| {
+        sweeps.push(pump(rt).unwrap());
+        let before = rt.yfs.filesystem().counters().snapshot();
+        check_flows(rt).unwrap_or_else(|e| panic!("after phase {}: {e}", sweeps.len()));
+        let cost = rt.yfs.filesystem().counters().snapshot().since(&before);
+        for (spent, op) in oracle.iter_mut().zip(OpKind::all()) {
+            *spent += cost.get(*op);
+        }
+    };
     let topo = build_fabric(rt, 4, Version::V1_3);
     let hosts = topo.hosts.clone();
     for (i, &(h, _)) in hosts.iter().enumerate() {
         let (_, dst) = hosts[(i + 1) % hosts.len()];
         rt.net.host_ping(h, dst, (i + 1) as u16);
     }
-    sweeps.push(rt.pump().unwrap());
+    phase(rt, Runtime::pump);
     // Targeted (non-flooding) flows: a fat tree has loops, so fabric-wide
     // flood rules would turn the second storm into a broadcast storm.
     for &d in &topo.switches {
@@ -207,19 +266,20 @@ fn replay_workload(rt: &mut Runtime) -> Vec<u32> {
         };
         rt.yfs.write_flow(&sw, "steer", &spec).unwrap();
     }
-    sweeps.push(rt.pump().unwrap());
+    phase(rt, Runtime::pump);
     for (i, &(h, _)) in hosts.iter().enumerate() {
         let (_, dst) = hosts[(i + 3) % hosts.len()];
         rt.net.host_ping(h, dst, (100 + i) as u16);
     }
-    sweeps.push(rt.pump().unwrap());
-    sweeps.push(rt.poll_stats().unwrap());
-    sweeps.push(rt.pump().unwrap());
-    sweeps
+    phase(rt, Runtime::pump);
+    phase(rt, Runtime::poll_stats);
+    phase(rt, Runtime::pump);
+    (sweeps, oracle)
 }
 
 /// Everything the replay pins: per-phase sweeps, the sched ledger,
-/// per-op charged syscall counts, and two digests of `/net` — `content`
+/// per-op charged syscall counts (the oracle's reads left out), and two
+/// digests of `/net` — `content`
 /// (names + bytes + ownership, schedule-independent) and `schedule`
 /// (full `tree_digest`, which additionally pins inode numbers and
 /// mtime/ctime ticks, i.e. the exact order the tree was built in).
@@ -250,7 +310,7 @@ impl ReplayTrace {
 fn trace(rt: &mut Runtime) -> ReplayTrace {
     use std::sync::atomic::Ordering;
     let sched = rt.sched_stats();
-    let sweeps = replay_workload(rt);
+    let (sweeps, oracle) = replay_workload(rt);
     let snap = rt.yfs.filesystem().counters().snapshot();
     ReplayTrace {
         sweeps,
@@ -260,7 +320,8 @@ fn trace(rt: &mut Runtime) -> ReplayTrace {
         rebuilds: sched.rebuilds.load(Ordering::Relaxed),
         per_op: OpKind::all()
             .iter()
-            .map(|op| (op.name(), snap.get(*op)))
+            .zip(oracle)
+            .map(|(op, spent)| (op.name(), snap.get(*op) - spent))
             .collect(),
         content: rt.yfs.filesystem().content_digest(),
         schedule: rt.yfs.filesystem().tree_digest(),
@@ -269,23 +330,27 @@ fn trace(rt: &mut Runtime) -> ReplayTrace {
 
 /// The trace of the serial pump (one thread walking the driver vector in
 /// index order), recorded from `driver::Runtime` at the last commit that
-/// still had a separate serial runtime; the schedule ledger and `content`
-/// are from then. The per-op table and `schedule` were re-recorded when
-/// `write_flow` and `publish_packet_in` went through the one materializer
-/// (every row fell or stayed). Both digests are FNV-1a over the tree, so
-/// the values are machine-independent.
+/// still had a separate serial runtime; `content` and the skip, idle and
+/// rebuild counts are from then. `schedule` was re-recorded when
+/// `write_flow` and `publish_packet_in` went through the one materializer.
+/// The per-op table, `sweeps` and `runs` were re-recorded when the drivers
+/// moved onto held descriptors and one filtered watch: the table's total
+/// fell from 1,709 to 1,109 (`openat` rose from 0 to 40, every other row
+/// fell or stayed), and the drivers stopped waking for their own `error`
+/// reports (136 → 116 runs). Both digests are FNV-1a over the tree, so the
+/// values are machine-independent.
 fn recorded_serial_trace() -> ReplayTrace {
     ReplayTrace {
-        sweeps: vec![1, 2, 1, 1, 0],
-        runs: 136,
+        sweeps: vec![1, 1, 1, 1, 0],
+        runs: 116,
         skips: 24,
         idle_pumps: 1,
         rebuilds: 1,
         per_op: vec![
-            ("stat", 184),
-            ("open", 392),
-            ("close", 392),
-            ("read", 180),
+            ("stat", 4),
+            ("open", 232),
+            ("close", 232),
+            ("read", 40),
             ("write", 180),
             ("mkdir", 289),
             ("rmdir", 0),
@@ -298,7 +363,7 @@ fn recorded_serial_trace() -> ReplayTrace {
             ("setattr", 0),
             ("xattr", 0),
             ("truncate", 0),
-            ("openat", 0),
+            ("openat", 40),
             ("fstat", 0),
             ("fsync", 0),
             ("poll", 0),

@@ -6,7 +6,7 @@
 use yanc::FlowSpec;
 use yanc_driver::Runtime;
 use yanc_openflow::{port_no, Action, FlowMatch, Version};
-use yanc_vfs::{Credentials, Errno, Filesystem, Limits, Mode};
+use yanc_vfs::{Credentials, Errno, Filesystem, Limits, Mode, Uid};
 
 fn two_hosts() -> (Runtime, u64, u64) {
     let mut rt = Runtime::new();
@@ -209,4 +209,103 @@ fn unwritable_flow_dir_denies_but_never_wedges_the_driver() {
     rt.net.host_ping(h1, "10.0.0.2".parse().unwrap(), 1);
     rt.pump().unwrap();
     assert_eq!(rt.net.hosts[&h1].ping_replies.len(), 1);
+}
+
+/// A driver holds two descriptors on its switch (`flows/` and
+/// `packet_out`). Swapping or re-attaching drivers must hand them back:
+/// after three of each, the table is where it started.
+#[test]
+fn swaps_and_reattaches_hand_back_the_drivers_descriptors() {
+    for workers in [1, 2] {
+        let mut rt = Runtime::with_workers(workers);
+        rt.add_switch_with_driver(0x1, 4, 1, vec![Version::V1_0], Version::V1_0);
+        rt.pump().unwrap();
+        let fs = rt.yfs.filesystem().clone();
+        let held = |fs: &Filesystem| -> Vec<String> {
+            let mut paths: Vec<String> = fs.fd_table(Uid(0)).into_iter().map(|f| f.path).collect();
+            paths.sort();
+            paths
+        };
+        let start = (fs.open_handle_count(), held(&fs));
+        assert_eq!(
+            start.1,
+            ["/net/switches/sw1/flows", "/net/switches/sw1/packet_out"]
+        );
+        for _ in 0..3 {
+            rt.swap_driver(0x1, Version::V1_0);
+            rt.pump().unwrap();
+        }
+        assert_eq!((fs.open_handle_count(), held(&fs)), start, "after swaps");
+        for _ in 0..3 {
+            // A 1.3 driver fails against this 1.0-only switch; the
+            // supervisor's re-attach brings a 1.0 driver back.
+            rt.swap_driver(0x1, Version::V1_3);
+            rt.pump().unwrap();
+            assert_eq!(rt.reattach_failed(), 1);
+            rt.pump().unwrap();
+        }
+        assert_eq!(
+            (fs.open_handle_count(), held(&fs)),
+            start,
+            "after reattaches"
+        );
+        assert_eq!(fs.notify().watch_count(), 1, "one watch, the live driver's");
+        let flood = FlowSpec {
+            m: FlowMatch::any(),
+            actions: vec![Action::out(port_no::FLOOD)],
+            ..Default::default()
+        };
+        rt.yfs.write_flow("sw1", "flood", &flood).unwrap();
+        rt.pump().unwrap();
+        assert_eq!(rt.net.switches[&0x1].flow_count(), 1);
+        yanc_harness::check_flows(&rt).unwrap();
+    }
+}
+
+/// Removing a switch directory orphans what its driver holds. The flow
+/// still reaches the switch once the directory is back: through a new
+/// driver's handshake, or — with the old driver kept — because it
+/// re-opens its `flows/` and `packet_out` by path.
+#[test]
+fn a_recreated_switch_directory_is_reopened_by_path() {
+    let flood = FlowSpec {
+        m: FlowMatch::any(),
+        actions: vec![Action::out(port_no::FLOOD)],
+        ..Default::default()
+    };
+    // Re-handshake through a swapped driver.
+    let (mut rt, _h1, _h2) = two_hosts();
+    rt.yfs.remove_switch("sw1").unwrap();
+    rt.pump().unwrap();
+    assert_eq!(rt.net.switches[&0x1].flow_count(), 0, "flows withdrawn");
+    rt.swap_driver(0x1, Version::V1_0);
+    rt.pump().unwrap();
+    rt.yfs.write_flow("sw1", "flood", &flood).unwrap();
+    rt.pump().unwrap();
+    assert_eq!(rt.net.switches[&0x1].flow_count(), 1);
+    yanc_harness::check_flows(&rt).unwrap();
+
+    // The same driver, the directory re-created under it.
+    let (mut rt, _h1, h2) = two_hosts();
+    rt.yfs.remove_switch("sw1").unwrap();
+    rt.pump().unwrap();
+    rt.yfs.create_switch("sw1", 0x1, 0, 0, 0, 1, None).unwrap();
+    rt.yfs.write_flow("sw1", "flood", &flood).unwrap();
+    rt.pump().unwrap();
+    assert_eq!(rt.net.switches[&0x1].flow_count(), 1);
+    yanc_harness::check_flows(&rt).unwrap();
+    let frame = yanc_packet::build_udp(
+        yanc_packet::MacAddr::from_seed(7),
+        rt.net.hosts[&h2].mac,
+        "10.0.0.1".parse().unwrap(),
+        "10.0.0.2".parse().unwrap(),
+        1,
+        2,
+        bytes::Bytes::from_static(b"again"),
+    );
+    rt.yfs
+        .packet_out("sw1", None, port_no::NONE, "2", &frame)
+        .unwrap();
+    rt.pump().unwrap();
+    assert_eq!(rt.net.hosts[&h2].udp_received.len(), 1);
 }

@@ -225,6 +225,58 @@ fn apps_and_driver_leave_the_object_formats_to_core() {
     );
 }
 
+/// The driver reads `/net` through the descriptors it holds and hears only
+/// commits, through one filtered watch (DESIGN.md §13). A path-addressed
+/// whole-file read, the path-form flow reader or an unfiltered watch in
+/// its non-test source is the per-file-access cost model growing back.
+#[test]
+fn the_driver_reads_through_descriptors_and_hears_only_commits() {
+    const TOKENS: [&str; 3] = ["read_to_string(", "read_flow(", "EventMask::ALL"];
+    /// (file, line content) pairs allowed anyway. Empty; an entry needs a
+    /// comment saying why the read cannot go through a descriptor.
+    const ALLOWLIST: [(&str, &str); 0] = [];
+    fn violations(file: &str, src: &str) -> Vec<String> {
+        // Unit tests sit at the bottom of a file, behind `#[cfg(test)]`.
+        let code = src.split("\n#[cfg(test)]").next().unwrap();
+        let mut out = Vec::new();
+        for (lineno, line) in code.lines().enumerate() {
+            let code = line.split("//").next().unwrap_or("");
+            let allowed = ALLOWLIST.contains(&(file, line.trim()));
+            if !allowed && TOKENS.iter().any(|t| code.contains(t)) {
+                out.push(format!(
+                    "crates/driver/src/{file}:{}: {}",
+                    lineno + 1,
+                    line.trim()
+                ));
+            }
+        }
+        out
+    }
+    // The audit fires: an injected violation is reported by file and line.
+    let injected = "fn drain(&self) {\n    let s = fs.read_to_string(p, c);\n}\n";
+    assert_eq!(
+        violations("driver.rs", injected),
+        ["crates/driver/src/driver.rs:2: let s = fs.read_to_string(p, c);"]
+    );
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../driver/src");
+    let mut found = Vec::new();
+    let mut scanned = 0;
+    for entry in fs::read_dir(&dir).unwrap().flatten() {
+        let file = entry.file_name().to_string_lossy().to_string();
+        let src = fs::read_to_string(entry.path()).unwrap();
+        scanned += 1;
+        found.extend(violations(&file, &src));
+    }
+    assert!(scanned >= 3, "expected the driver sources");
+    assert!(
+        found.is_empty(),
+        "path-addressed reads or an unfiltered watch in the driver (read \
+         through its held descriptors, or extend the audit ALLOWLIST with a \
+         justification):\n{}",
+        found.join("\n")
+    );
+}
+
 /// The audit itself must be looking at real code: if the directories
 /// moved, the scan above would vacuously pass.
 #[test]

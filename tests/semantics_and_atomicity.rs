@@ -4,6 +4,7 @@
 
 use yanc_coreutils::Shell;
 use yanc_driver::Runtime;
+use yanc_harness::check_flows;
 use yanc_openflow::Version;
 use yanc_vfs::{Errno, Mode};
 
@@ -197,4 +198,41 @@ fn e4_recommit_replaces_switch_state() {
     let table: Vec<_> = rt.net.switches[&0xa].table(0).unwrap().iter().collect();
     assert_eq!(table.len(), 1);
     assert_eq!(table[0].m, spec3.m);
+    check_flows(&rt).unwrap();
+}
+
+#[test]
+fn removing_a_flows_version_withdraws_it_from_the_switch() {
+    // `version` is the commit cell: without it `/net` shows the flow as
+    // uncommitted, so the switch must not keep forwarding it.
+    let mut rt = rt_with_switch(Version::V1_3);
+    let spec = yanc::FlowSpec {
+        m: yanc_openflow::FlowMatch {
+            dl_type: Some(0x0806),
+            ..Default::default()
+        },
+        actions: vec![yanc_openflow::Action::out(2)],
+        priority: 300,
+        ..Default::default()
+    };
+    rt.yfs.write_flow("swa", "arp", &spec).unwrap();
+    rt.pump().unwrap();
+    assert_eq!(rt.net.switches[&0xa].flow_count(), 1);
+    check_flows(&rt).unwrap();
+    let version = rt.yfs.flow_dir("swa", "arp").join("version");
+    let fs = rt.yfs.filesystem();
+    fs.unlink(version.as_str(), rt.yfs.creds()).unwrap();
+    // Until the driver runs, `/net` and the switch disagree.
+    let stale = check_flows(&rt).unwrap_err();
+    assert!(stale.contains("matches 0 flow directories"), "{stale}");
+    rt.pump().unwrap();
+    assert_eq!(rt.net.switches[&0xa].flow_count(), 0);
+    check_flows(&rt).unwrap();
+    // Committing again installs it again.
+    let fs = rt.yfs.filesystem();
+    fs.write_file(version.as_str(), b"2", rt.yfs.creds())
+        .unwrap();
+    rt.pump().unwrap();
+    assert_eq!(rt.net.switches[&0xa].flow_count(), 1);
+    check_flows(&rt).unwrap();
 }

@@ -235,11 +235,13 @@ fn warm_path_install_costs_the_same_at_k4_and_k8() {
         report(&large)
     );
     // edge → agg → core → agg → edge: four links to validate, five flows
-    // to write, and the only directory listed is the router's own event
-    // queue. One scan of the k=8 fabric alone is 721 calls.
+    // to write, and the only directories listed are the router's own event
+    // queue and the packet-in entry it reads (the one reader lists an
+    // object, then reads it in one batch). One scan of the k=8 fabric
+    // alone is 721 calls.
     for cost in &small {
         assert!(cost.get(OpKind::Readlink) <= 4, "{}", cost.report());
-        assert!(cost.get(OpKind::Readdir) <= 1, "{}", cost.report());
+        assert!(cost.get(OpKind::Readdir) <= 2, "{}", cost.report());
         assert!(cost.total() < 100, "{}", cost.report());
     }
 }
