@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use yanc::{FlowSpec, YancResult};
-use yanc_vfs::{CommitReport, Credentials, Filesystem, Mode, Overlay, VfsResult};
+use yanc_vfs::{CommitReport, Credentials, FileType, Filesystem, Mode, Overlay, VfsResult};
 
 /// A staged editing session over a base network tree.
 pub struct WhatIf {
@@ -59,14 +59,21 @@ impl WhatIf {
         Ok(())
     }
 
-    /// Stage a flow deletion: the view hides the flow behind whiteouts;
-    /// commit turns them into real removals.
+    /// Stage a flow deletion: the view hides the flow (its `counters/`
+    /// included) behind whiteouts; commit turns them into real removals.
     pub fn delete_flow(&self, switch: &str, flow: &str) -> VfsResult<()> {
-        let dir = format!("/switches/{switch}/flows/{flow}");
-        for e in self.ov.readdir(&dir, &self.creds)? {
-            self.ov.unlink(&format!("{dir}/{}", e.name), &self.creds)?;
+        self.remove_tree(&format!("/switches/{switch}/flows/{flow}"))
+    }
+
+    fn remove_tree(&self, dir: &str) -> VfsResult<()> {
+        for e in self.ov.readdir(dir, &self.creds)? {
+            let path = format!("{dir}/{}", e.name);
+            match e.file_type {
+                FileType::Directory => self.remove_tree(&path)?,
+                _ => self.ov.unlink(&path, &self.creds)?,
+            }
         }
-        self.ov.rmdir(&dir, &self.creds)
+        self.ov.rmdir(dir, &self.creds)
     }
 
     /// Validate the merged result: parse every flow the committed tree

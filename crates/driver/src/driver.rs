@@ -8,7 +8,8 @@
 //!
 //! * **fs → switch**: a committed flow (its `version` file bumped) becomes
 //!   a FlowMod; a removed `version` (the flow directory deleted, or the file
-//!   itself) becomes a strict delete; writing `config.port_down` becomes a
+//!   itself deleted or renamed away) becomes a strict delete, unless the
+//!   same drained batch commits it again; writing `config.port_down` becomes a
 //!   PortMod; appending to the switch's `packet_out` file becomes a
 //!   PacketOut. The driver hears exactly those through one watch, and reads
 //!   flows and `packet_out` through descriptors it holds (DESIGN.md §13).
@@ -37,7 +38,9 @@ use yanc_openflow::{
     Reassembler, StatsReply, StatsRequest, SwitchFeatures, Version,
 };
 use yanc_openflow::{flow_mod_flags, port_no, FrameCodec};
-use yanc_vfs::{Errno, Event, EventKind, EventMask, Fd, OpenFlags, Timestamp, WatchGuard};
+use yanc_vfs::{
+    Errno, Event, EventKind, EventMask, Fd, FileStat, OpenFlags, Timestamp, WatchGuard,
+};
 
 /// Driver lifecycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -635,10 +638,12 @@ impl OpenFlowDriver {
         }
         self.flows = self.yfs.open_flows_dir(&sw).ok();
         // One watch, filtered before anything is queued: a flow's commit
-        // file and the two command files, written or removed. Every write
-        // in the system is tested against every watch, so a driver keeps
-        // exactly one.
-        let commits = EventMask::only(EventKind::CloseWrite).or(EventMask::only(EventKind::Delete));
+        // file and the two command files, written, removed or renamed.
+        // Every write in the system is tested against every watch, so a
+        // driver keeps exactly one.
+        use EventKind::{CloseWrite, Delete, MovedFrom, MovedTo};
+        let kinds = [CloseWrite, Delete, MovedFrom, MovedTo].map(EventMask::only);
+        let commits = kinds.into_iter().fold(EventMask(0), EventMask::or);
         let watch = fs.watch(self.yfs.switch_dir(&sw).as_str()).subtree();
         let watch = watch.mask(commits).named("version").named("packet_out");
         self.fs_watch = watch.named("config.port_down").register().ok();
@@ -650,7 +655,7 @@ impl OpenFlowDriver {
         let listing = self.flows.and_then(|flows| fs.readdir_fd(flows).ok());
         for e in listing.unwrap_or_default() {
             self.stats.resyncs.fetch_add(1, Ordering::Relaxed);
-            self.sync_flow(&sw, &e.name);
+            self.sync_flow(&sw, &e.name, false);
         }
         self.register_proc();
     }
@@ -749,28 +754,46 @@ impl OpenFlowDriver {
     /// per batch between its removals: the first commit event already
     /// reads the state every later one in the batch announces. A sync that
     /// ends in an `error` report settles nothing, so a later commit event
-    /// retries it.
+    /// retries it. A removal withdraws the flow, unless the batch commits
+    /// it again later (`mv tmp version`, a batch rewrite): then the flow
+    /// was replaced, and is re-installed from the new `version` without
+    /// first leaving the switch.
     fn on_fs_events(&mut self, events: Vec<Event>) {
         let Some(sw) = self.switch_name.clone() else {
             return;
         };
-        let mut synced: HashSet<String> = HashSet::new();
+        let removal = |ev: &Event| matches!(ev.kind, EventKind::Delete | EventKind::MovedFrom);
+        let flows: Vec<Option<String>> = events.iter().map(|ev| self.version_of(ev)).collect();
+        let mut last_commit: HashMap<&str, usize> = HashMap::new();
+        for (i, (ev, flow)) in events.iter().zip(&flows).enumerate() {
+            if let (false, Some(flow)) = (removal(ev), flow) {
+                last_commit.insert(flow, i);
+            }
+        }
+        let mut synced: HashSet<&str> = HashSet::new();
+        let mut replaced: HashSet<&str> = HashSet::new();
         let mut drained = false;
-        for ev in events {
-            match (ev.kind, ev.name.as_deref()) {
-                (kind, Some("version")) => {
-                    let SchemaPos::FlowFile { flow, .. } =
-                        yanc::classify(self.yfs.root(), &ev.path)
-                    else {
-                        continue;
-                    };
-                    if kind == EventKind::Delete {
-                        synced.remove(&flow);
-                        self.withdraw(flow);
-                    } else if !synced.contains(&flow) && self.sync_flow(&sw, &flow) {
+        for (i, ev) in events.iter().enumerate() {
+            if let Some(flow) = flows[i].as_deref() {
+                if !removal(ev) {
+                    let replace = replaced.remove(flow);
+                    if !synced.contains(flow) && self.sync_flow(&sw, flow, replace) {
                         synced.insert(flow);
                     }
+                    continue;
                 }
+                synced.remove(flow);
+                if self.self_deletes.remove(flow) {
+                    continue; // our own FlowRemoved-driven cleanup
+                }
+                if last_commit.get(flow).is_some_and(|&c| c > i) {
+                    replaced.insert(flow);
+                } else {
+                    self.withdraw(flow);
+                }
+                continue;
+            }
+            match (ev.kind, ev.name.as_deref()) {
                 (EventKind::CloseWrite, Some("packet_out")) if !drained => {
                     drained = true;
                     self.drain_packet_out(&sw);
@@ -788,13 +811,21 @@ impl OpenFlowDriver {
         }
     }
 
+    /// The flow whose `version` file `ev` is about, if it is one.
+    fn version_of(&self, ev: &Event) -> Option<String> {
+        if ev.name.as_deref() != Some("version") {
+            return None;
+        }
+        match yanc::classify(self.yfs.root(), &ev.path) {
+            SchemaPos::FlowFile { flow, .. } => Some(flow),
+            _ => None,
+        }
+    }
+
     /// A flow's `version` is gone — its directory was removed, or the file
     /// itself: take the entry it denoted off the switch.
-    fn withdraw(&mut self, flow: String) {
-        if self.self_deletes.remove(&flow) {
-            return; // our own FlowRemoved-driven cleanup
-        }
-        if let Some((_, spec)) = self.installed.remove(&flow) {
+    fn withdraw(&mut self, flow: &str) {
+        if let Some((_, spec)) = self.installed.remove(flow) {
             self.send(&delete_strict(&spec));
         }
     }
@@ -829,36 +860,46 @@ impl OpenFlowDriver {
     }
 
     /// The fields of `flow`, read through the held flows-dir descriptor
-    /// (4 charged syscalls). If the directory it holds has gone away — the
-    /// switch was removed and re-created — it is re-opened by path, once.
+    /// (4 charged syscalls). A flow that is not there may mean the held
+    /// directory itself has gone away; [`held`] decides, and the read is
+    /// retried once through the re-opened directory.
     fn flow_fields(&mut self, sw: &str, flow: &str) -> Option<Vec<(String, String)>> {
-        for _ in 0..2 {
-            let flows = match self.flows {
-                Some(fd) => fd,
-                None => {
-                    self.flows = self.yfs.open_flows_dir(sw).ok();
-                    self.flows?
-                }
-            };
-            let fs = self.yfs.filesystem();
+        if let Some(flows) = self.flows {
             match self.yfs.get_objects_at(flows, flow) {
                 Ok(fields) => return Some(fields),
-                // A missing flow leaves the directory; a gone directory
-                // leaves a descriptor nothing can `fstat`.
-                Err(e) if e.errno() == Some(Errno::ENOENT) && fs.fstat(flows).is_err() => {
-                    let _ = fs.close(flows, self.yfs.creds());
-                    self.flows = None;
-                }
+                Err(e) if e.errno() == Some(Errno::ENOENT) => {}
                 Err(_) => return None,
             }
         }
-        None
+        let yfs = &self.yfs;
+        let (flows, _, reopened) = held(yfs, &mut self.flows, || yfs.open_flows_dir(sw).ok())?;
+        if !reopened {
+            return None; // the directory is there; the flow is not
+        }
+        yfs.get_objects_at(flows, flow).ok()
     }
 
-    /// Read a flow and install it if its version is newer than what the
-    /// switch has. False when the flow could not be read or an `error`
-    /// report was written instead.
-    fn sync_flow(&mut self, sw: &str, flow: &str) -> bool {
+    /// Sync a flow: read it and install it if its version is newer than
+    /// what the switch has. False when the flow could not be read or an
+    /// `error` report was written instead. A `replaced` flow's `version`
+    /// was removed and written again, so the installed version is no
+    /// watermark: the flow is re-installed from the new one, or withdrawn
+    /// if that does not install.
+    fn sync_flow(&mut self, sw: &str, flow: &str, replaced: bool) -> bool {
+        if replaced {
+            if let Some((v, _)) = self.installed.get_mut(flow) {
+                *v = 0;
+            }
+        }
+        let settled = self.install_flow(sw, flow);
+        if replaced && self.installed.get(flow).is_some_and(|(v, _)| *v == 0) {
+            self.withdraw(flow);
+        }
+        settled
+    }
+
+    /// The body of [`Self::sync_flow`], with its result.
+    fn install_flow(&mut self, sw: &str, flow: &str) -> bool {
         let Some(fields) = self.flow_fields(sw, flow) else {
             return false;
         };
@@ -927,30 +968,21 @@ impl OpenFlowDriver {
     fn drain_packet_out(&mut self, sw: &str) {
         let fs = self.yfs.filesystem().clone();
         let path = self.yfs.packet_out_path(sw);
-        let mut reopened = false;
-        let (fd, st) = loop {
-            let held = self
-                .packet_out
-                .and_then(|fd| Some((fd, fs.fstat(fd).ok()?)));
-            match held {
-                Some((fd, st)) if st.nlink > 0 => break (fd, st),
-                _ if reopened => return,
-                // Not open, or unlinked under us (the switch was removed
-                // and re-created): re-open by path, once.
-                _ => {
-                    if let Some(fd) = self.packet_out.take() {
-                        let _ = fs.close(fd, self.yfs.creds());
-                    }
-                    let flags = OpenFlags::read_only();
-                    self.packet_out = fs.open(path.as_str(), flags, self.yfs.creds()).ok();
-                    (self.packet_out_offset, self.packet_out_mtime) = (0, None);
-                    reopened = true;
-                }
-            }
+        let yfs = &self.yfs;
+        let open = || {
+            fs.open(path.as_str(), OpenFlags::read_only(), yfs.creds())
+                .ok()
         };
+        let Some((fd, st, reopened)) = held(yfs, &mut self.packet_out, open) else {
+            return;
+        };
+        if reopened {
+            (self.packet_out_offset, self.packet_out_mtime) = (0, None);
+        }
         // Shorter than what was consumed: truncated (`echo cmd >
         // packet_out`). Exactly as long but written since: truncated and
-        // refilled to the same length. Either way, start over.
+        // refilled to the same length (an empty append writes nothing, so
+        // it wakes no drain). Either way, start over.
         let consumed = self.packet_out_offset;
         let written = Some(st.mtime) != self.packet_out_mtime;
         if st.size < consumed || (st.size == consumed && written) {
@@ -994,6 +1026,29 @@ impl OpenFlowDriver {
             m: yanc_openflow::FlowMatch::any(),
         }));
     }
+}
+
+/// The descriptor a driver holds in `slot`, with its `fstat`. One whose
+/// object has gone away — unlinked, or its directory removed, as when the
+/// switch is removed and re-created — is closed and replaced by `open`,
+/// once; the flag says whether that happened.
+fn held(
+    yfs: &YancFs,
+    slot: &mut Option<Fd>,
+    open: impl FnOnce() -> Option<Fd>,
+) -> Option<(Fd, FileStat, bool)> {
+    let fs = yfs.filesystem();
+    if let Some(fd) = *slot {
+        match fs.fstat(fd) {
+            Ok(st) if st.nlink > 0 => return Some((fd, st, false)),
+            _ => {
+                let _ = fs.close(fd, yfs.creds());
+            }
+        }
+    }
+    *slot = open();
+    let fd = (*slot)?;
+    Some((fd, fs.fstat(fd).ok()?, true))
 }
 
 impl Drop for OpenFlowDriver {

@@ -912,6 +912,24 @@ mod tests {
     }
 
     #[test]
+    fn packet_out_empty_append_runs_nothing_again() {
+        for workers in WORKERS {
+            let (mut rt, name, _h1, h2) = two_host_rt(Version::V1_0, workers);
+            let (fs, creds) = (rt.yfs.filesystem().clone(), rt.yfs.creds().clone());
+            let path = rt.yfs.packet_out_path(&name);
+            let line = udp_packet_out_line(&rt, h2);
+            fs.append_file(path.as_str(), line.as_bytes(), &creds)
+                .unwrap();
+            rt.pump().unwrap();
+            // Same length as consumed, but no byte was written: not a
+            // rewrite, so nothing is replayed.
+            fs.append_file(path.as_str(), b"", &creds).unwrap();
+            rt.pump().unwrap();
+            assert_eq!(rt.net.hosts[&h2].udp_received.len(), 1);
+        }
+    }
+
+    #[test]
     fn packet_out_rewrite_splitting_a_character_is_skipped_not_a_panic() {
         for workers in WORKERS {
             let (mut rt, name, _h1, h2) = two_host_rt(Version::V1_0, workers);

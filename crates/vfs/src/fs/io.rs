@@ -398,7 +398,10 @@ impl Filesystem {
             if pos.is_none() {
                 h.offset = end;
             }
-            h.wrote = true;
+            // An empty write changes no byte, so close has nothing to
+            // commit — unless the open truncated (`: > file` commits an
+            // empty file; `printf '' >> file` commits nothing).
+            h.wrote |= !data.is_empty() || meta.flags.truncate;
             path = h.path.clone();
             let rec = Record::Write {
                 ino,

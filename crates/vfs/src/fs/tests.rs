@@ -554,6 +554,23 @@ fn notify_create_modify_closewrite_delete() {
 }
 
 #[test]
+fn an_empty_write_commits_only_through_a_truncating_open() {
+    let f = fs();
+    f.mkdir("/d", Mode::DIR_DEFAULT, &root()).unwrap();
+    f.write_file("/d/cmd", b"x\n", &root()).unwrap();
+    let w = f.watch("/d").mask(EventMask::only(EventKind::CloseWrite));
+    let w = w.register().unwrap();
+    let commits = || w.receiver().try_iter().count();
+    // `printf '' >> cmd`: no byte changes, nothing to commit.
+    f.append_file("/d/cmd", b"", &root()).unwrap();
+    assert_eq!(commits(), 0);
+    // `: > cmd`: the open emptied the file, so close commits it.
+    f.write_file("/d/cmd", b"", &root()).unwrap();
+    assert_eq!(commits(), 1);
+    assert_eq!(f.read_file("/d/cmd", &root()).unwrap(), b"");
+}
+
+#[test]
 fn notify_rename_events() {
     let f = fs();
     f.mkdir("/d", Mode::DIR_DEFAULT, &root()).unwrap();

@@ -230,7 +230,7 @@ impl Filesystem {
             // The record destroys the subtree it names, so what watchers
             // and the dentry cache must hear about it is gathered first.
             let mut dirs = Vec::new();
-            Self::doomed(&set, ino, &full, &mut events, &mut dirs)?;
+            Self::removal_events(&set, ino, &full, &mut events, &mut dirs)?;
             let (parent, name, tick) = (r.parent_ino, r.name.as_str(), self.clock.tick());
             let rec = if empty {
                 Record::Rmdir { parent, name, tick }
@@ -242,11 +242,29 @@ impl Filesystem {
             // as the entry under the parent.
             self.bump_gen(parent);
             dirs.into_iter().for_each(|d| self.bump_gen(d));
-            events.push((EventKind::DeleteSelf, full.clone(), None));
-            events.push((EventKind::Delete, full, Some(r.name)));
             break events;
         };
         self.notify.emit_batch(&events);
+        Ok(())
+    }
+
+    /// Everything removing the directory `ino` at `path` tells watchers,
+    /// in order: a `Delete` per object under it, then `DeleteSelf` and
+    /// `Delete` of the directory itself; `dirs` collects every directory
+    /// whose dentries die. The one event body of a live `rmdir` and a
+    /// batch `Remove`. Read-only; a non-empty `ino` requires a lock-all
+    /// [`ShardSet`].
+    pub(crate) fn removal_events(
+        set: &ShardSet,
+        ino: Ino,
+        path: &VPath,
+        events: &mut Vec<PendingEvent>,
+        dirs: &mut Vec<Ino>,
+    ) -> VfsResult<()> {
+        Self::doomed(set, ino, path, events, dirs)?;
+        events.push((EventKind::DeleteSelf, path.clone(), None));
+        let name = path.file_name().map(str::to_string);
+        events.push((EventKind::Delete, path.clone(), name));
         Ok(())
     }
 

@@ -1316,6 +1316,12 @@ impl Filesystem {
                 continue;
             };
             let target = batch_lookup(&set, path);
+            // A removed directory is reported as a live recursive `rmdir`
+            // reports it, every object under it included.
+            let mut doomed = Vec::new();
+            if let (BatchOp::Remove { .. }, Some((ino, true))) = (op, target) {
+                let _ = Self::removal_events(&set, ino, path, &mut events, &mut doomed);
+            }
             let mut put = |rec| {
                 self.apply_record_locked(&mut set, &rec);
                 records.push(rec);
@@ -1419,17 +1425,17 @@ impl Filesystem {
                     event(EventKind::Create);
                 }
                 BatchOp::Remove { .. } => {
-                    let Some((ino, is_dir)) = target else {
+                    let Some((_, is_dir)) = target else {
                         continue;
                     };
                     let tick = now();
                     if is_dir {
                         put(Record::RmTree { parent, name, tick });
-                        self.bump_gen(ino);
+                        doomed.iter().for_each(|d| self.bump_gen(*d));
                     } else {
                         put(Record::Unlink { parent, name, tick });
+                        event(EventKind::Delete);
                     }
-                    event(EventKind::Delete);
                 }
             }
             self.bump_gen(parent);

@@ -1354,6 +1354,26 @@ mod tests {
     }
 
     #[test]
+    fn commit_reports_a_removed_directory_as_rmdir_does() {
+        use crate::notify::{EventKind, EventMask};
+        let (fs, ov, root) = setup();
+        ov.unlink("/sw1/flows/f1", &root).unwrap();
+        ov.rmdir("/sw1/flows", &root).unwrap();
+        let w = fs.watch("/base").subtree().mask(EventMask::ALL);
+        let w = w.register().unwrap();
+        ov.commit(&root).unwrap();
+        // One batch step removes the directory; watchers still hear of
+        // every object it held, children first.
+        let seen: Vec<_> = w.receiver().try_iter().map(|e| (e.kind, e.path)).collect();
+        let removed = [
+            (EventKind::Delete, "/base/sw1/flows/f1"),
+            (EventKind::DeleteSelf, "/base/sw1/flows"),
+            (EventKind::Delete, "/base/sw1/flows"),
+        ];
+        assert_eq!(seen, removed.map(|(k, p)| (k, VPath::new(p))));
+    }
+
+    #[test]
     fn commit_enforces_base_permissions() {
         let (fs, ov, root) = setup();
         let tenant = Credentials::user(7, 7);

@@ -2,11 +2,12 @@
 //! through the `version` file (§3.4), exercised end to end against a
 //! driver-managed switch.
 
+use yanc_apps::WhatIf;
 use yanc_coreutils::Shell;
 use yanc_driver::Runtime;
 use yanc_harness::check_flows;
 use yanc_openflow::Version;
-use yanc_vfs::{Errno, Mode};
+use yanc_vfs::{Credentials, Errno, Mode};
 
 fn rt_with_switch(v: Version) -> Runtime {
     let mut rt = Runtime::new();
@@ -234,5 +235,106 @@ fn removing_a_flows_version_withdraws_it_from_the_switch() {
         .unwrap();
     rt.pump().unwrap();
     assert_eq!(rt.net.switches[&0xa].flow_count(), 1);
+    check_flows(&rt).unwrap();
+}
+
+/// An ARP flow out of port 2 at priority 300.
+fn arp_flow() -> yanc::FlowSpec {
+    yanc::FlowSpec {
+        m: yanc_openflow::FlowMatch {
+            dl_type: Some(0x0806),
+            ..Default::default()
+        },
+        actions: vec![yanc_openflow::Action::out(2)],
+        priority: 300,
+        ..Default::default()
+    }
+}
+
+/// FlowMods the (only) driver has sent so far.
+fn flow_mods(rt: &Runtime) -> u64 {
+    let stats = rt.drivers[0].lock().stats();
+    stats.flow_mods.load(std::sync::atomic::Ordering::Relaxed)
+}
+
+#[test]
+fn a_staged_flow_deletion_withdraws_the_flow_on_commit() {
+    let mut rt = rt_with_switch(Version::V1_3);
+    rt.yfs.write_flow("swa", "arp", &arp_flow()).unwrap();
+    let ssh = yanc::FlowSpec {
+        m: yanc_openflow::FlowMatch {
+            dl_type: Some(0x0800),
+            nw_proto: Some(6),
+            tp_dst: Some(22),
+            ..Default::default()
+        },
+        priority: 700,
+        ..arp_flow()
+    };
+    rt.yfs.write_flow("swa", "ssh", &ssh).unwrap();
+    rt.pump().unwrap();
+    assert_eq!(rt.net.switches[&0xa].flow_count(), 2);
+    // The commit removes the flow directory in one batch step; the driver
+    // hears its `version` go as it would from a live `rmdir`.
+    let root = Credentials::root();
+    let fs = rt.yfs.filesystem().clone();
+    let session = WhatIf::begin(fs, "/net", "/staging/del", &root).unwrap();
+    session.delete_flow("swa", "arp").unwrap();
+    assert!(session.commit().unwrap().whiteouts > 0);
+    rt.pump().unwrap();
+    assert_eq!(rt.yfs.list_flows("swa").unwrap(), vec!["ssh"]);
+    assert_eq!(rt.net.switches[&0xa].flow_count(), 1);
+    check_flows(&rt).unwrap();
+}
+
+#[test]
+fn a_staged_version_bump_reinstalls_without_a_gap() {
+    let mut rt = rt_with_switch(Version::V1_3);
+    rt.yfs.write_flow("swa", "arp", &arp_flow()).unwrap();
+    rt.pump().unwrap();
+    // The commit replaces `version` and `action.out` (unlink + create):
+    // the driver must re-install over the old entry, not delete it first.
+    let root = Credentials::root();
+    let fs = rt.yfs.filesystem().clone();
+    let session = WhatIf::begin(fs, "/net", "/staging/bump", &root).unwrap();
+    let fields = [("action.out", "3"), ("version", "2")];
+    session.stage_flow("swa", "arp", &fields).unwrap();
+    session.commit().unwrap();
+    let before = flow_mods(&rt);
+    rt.pump().unwrap();
+    assert_eq!(flow_mods(&rt) - before, 1, "one add, no delete");
+    let table: Vec<_> = rt.net.switches[&0xa].table(0).unwrap().iter().collect();
+    assert_eq!(table.len(), 1);
+    assert_eq!(table[0].actions, vec![yanc_openflow::Action::out(3)]);
+    check_flows(&rt).unwrap();
+}
+
+#[test]
+fn renaming_a_new_version_into_place_keeps_the_flow_installed() {
+    let mut rt = rt_with_switch(Version::V1_3);
+    rt.yfs.write_flow("swa", "arp", &arp_flow()).unwrap();
+    rt.pump().unwrap();
+    let (fs, creds) = (rt.yfs.filesystem().clone(), rt.yfs.creds().clone());
+    let dir = rt.yfs.flow_dir("swa", "arp");
+    fs.write_file(dir.join("action.out").as_str(), b"3", &creds)
+        .unwrap();
+    // Write the new version aside, then `mv` it over the old one: the
+    // driver hears the old `version` deleted and the new one moved in.
+    fs.mkdir_all("/tmp", Mode::DIR_DEFAULT, &creds).unwrap();
+    fs.write_file("/tmp/version", b"2", &creds).unwrap();
+    let before = flow_mods(&rt);
+    fs.rename("/tmp/version", dir.join("version").as_str(), &creds)
+        .unwrap();
+    rt.pump().unwrap();
+    assert_eq!(flow_mods(&rt) - before, 1, "one add, no delete");
+    let table: Vec<_> = rt.net.switches[&0xa].table(0).unwrap().iter().collect();
+    assert_eq!(table.len(), 1);
+    assert_eq!(table[0].actions, vec![yanc_openflow::Action::out(3)]);
+    check_flows(&rt).unwrap();
+    // Renamed away, the version is gone: the flow is withdrawn.
+    fs.rename(dir.join("version").as_str(), "/tmp/version", &creds)
+        .unwrap();
+    rt.pump().unwrap();
+    assert_eq!(rt.net.switches[&0xa].flow_count(), 0);
     check_flows(&rt).unwrap();
 }

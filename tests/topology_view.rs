@@ -15,7 +15,7 @@ use yanc_driver::Runtime;
 use yanc_harness::{build_fabric, build_line, record_topology, settle, PumpApp};
 use yanc_openflow::{Action, FlowMatch, Version};
 use yanc_packet::MacAddr;
-use yanc_vfs::{CounterSnapshot, Credentials, EventKind, EventMask, Filesystem, Mode, OpKind};
+use yanc_vfs::{CounterSnapshot, Credentials, EventKind, EventMask, Filesystem, Mode};
 use yanc_vfs::{Overlay, WatchGuard};
 
 const PORTS: u16 = 4;
@@ -238,12 +238,15 @@ fn warm_path_install_costs_the_same_at_k4_and_k8() {
     // to write, and the only directories listed are the router's own event
     // queue and the packet-in entry it reads (the one reader lists an
     // object, then reads it in one batch). One scan of the k=8 fabric
-    // alone is 721 calls.
-    for cost in &small {
-        assert!(cost.get(OpKind::Readlink) <= 4, "{}", cost.report());
-        assert!(cost.get(OpKind::Readdir) <= 2, "{}", cost.report());
-        assert!(cost.total() < 100, "{}", cost.report());
-    }
+    // alone is 721 calls. Every install's cost, exactly:
+    assert_eq!(
+        report(&small),
+        [
+            "open=13 close=13 read=1 write=12 mkdir=11 rmdir=1 readlink=4 readdir=2 total=57",
+            "open=12 close=12 read=1 write=11 mkdir=10 rmdir=1 readlink=4 readdir=2 total=53",
+            "open=12 close=12 read=1 write=11 mkdir=10 rmdir=1 readlink=4 readdir=2 total=53",
+        ]
+    );
 }
 
 // ---------------------------------------------------------------------
