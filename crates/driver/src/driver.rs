@@ -133,11 +133,10 @@ fn delete_strict(spec: &FlowSpec) -> Message {
 }
 
 /// Readiness probe for one driver: how much work is queued across its
-/// three input channels (switch bytes, fastpath ring, fs watch). Shared
-/// with the runtime's poll set so an event-driven scheduler can skip
-/// idle drivers without calling into them — the check reads channel
-/// lengths only and costs zero simulated syscalls, exactly like the
-/// kernel consulting its run queue.
+/// three input channels (switch bytes, fastpath ring, fs watch). An
+/// event-driven scheduler reads it to skip idle drivers without running
+/// them — the check reads channel lengths only and costs zero simulated
+/// syscalls, exactly like the kernel consulting its run queue.
 pub struct DriverReadiness {
     rx: Receiver<Bytes>,
     fastpath: Mutex<Option<FlowChannel>>,
@@ -200,12 +199,8 @@ pub struct OpenFlowDriver {
     fault_reorder: bool,
     /// Merges multipart stats segments back into whole replies.
     reassembler: Reassembler,
-    /// Shared with the runtime's poll set (see [`DriverReadiness`]).
+    /// The probe [`OpenFlowDriver::pending`] reads (see [`DriverReadiness`]).
     readiness: Arc<DriverReadiness>,
-    /// Optional stats fan-in sink (see [`crate::par`]): when attached,
-    /// counter aggregates are buffered there instead of being flushed
-    /// per reply, and the runtime lands one batch per pump quiescence.
-    fanin: Option<crate::par::FanInHandle>,
 }
 
 impl OpenFlowDriver {
@@ -241,15 +236,21 @@ impl OpenFlowDriver {
             fault_reorder: false,
             reassembler: Reassembler::new(),
             readiness,
-            fanin: None,
         };
         d.send(&Message::Hello);
         d
     }
 
-    /// This driver's readiness probe, for registration in a poll set.
+    /// This driver's readiness probe, for a scheduler that checks it
+    /// without the driver's lock.
     pub fn readiness(&self) -> Arc<DriverReadiness> {
         self.readiness.clone()
+    }
+
+    /// Queued work units; non-zero means [`OpenFlowDriver::run_once`] will
+    /// make progress (see [`DriverReadiness::pending`]).
+    pub fn pending(&self) -> usize {
+        self.readiness.pending()
     }
 
     /// Attach a libyanc [`FlowChannel`]; ops pushed there are drained on
@@ -263,13 +264,6 @@ impl OpenFlowDriver {
             // show up under `.proc/drivers/<sw>/fastpath`.
             self.register_proc();
         }
-    }
-
-    /// Route this driver's stats aggregates through a fan-in combiner
-    /// (see [`crate::par::FanIn`]) instead of one
-    /// `write_counters_batch` per multipart reply.
-    pub fn attach_fanin(&mut self, h: crate::par::FanInHandle) {
-        self.fanin = Some(h);
     }
 
     /// Current lifecycle state.
@@ -735,15 +729,8 @@ impl OpenFlowDriver {
             }
             _ => return,
         }
-        match &mut self.fanin {
-            // Fan-in attached: buffer worker-locally; the runtime lands
-            // everything in one batched flush per pump quiescence.
-            Some(h) => h.push(&sw, entries),
-            None => {
-                let dir = self.yfs.switch_dir(&sw);
-                let _ = self.yfs.write_counters_batch(&dir, &entries);
-            }
-        }
+        let dir = self.yfs.switch_dir(&sw);
+        let _ = self.yfs.write_counters_batch(&dir, &entries);
     }
 
     // ------------------------------------------------------------------
@@ -879,29 +866,23 @@ impl OpenFlowDriver {
         yfs.get_objects_at(flows, flow).ok()
     }
 
-    /// Sync a flow: read it and install it if its version is newer than
-    /// what the switch has. False when the flow could not be read or an
+    /// Sync a flow: read it and install it unless the switch already
+    /// holds exactly that spec. False when the flow could not be read or an
     /// `error` report was written instead. A `replaced` flow's `version`
-    /// was removed and written again, so the installed version is no
-    /// watermark: the flow is re-installed from the new one, or withdrawn
-    /// if that does not install.
+    /// was removed and written again: if the new one does not install, the
+    /// flow is withdrawn.
     fn sync_flow(&mut self, sw: &str, flow: &str, replaced: bool) -> bool {
-        if replaced {
-            if let Some((v, _)) = self.installed.get_mut(flow) {
-                *v = 0;
-            }
-        }
-        let settled = self.install_flow(sw, flow);
-        if replaced && self.installed.get(flow).is_some_and(|(v, _)| *v == 0) {
+        let synced = self.install_flow(sw, flow);
+        if replaced && synced != Synced::Held {
             self.withdraw(flow);
         }
-        settled
+        synced != Synced::Failed
     }
 
-    /// The body of [`Self::sync_flow`], with its result.
-    fn install_flow(&mut self, sw: &str, flow: &str) -> bool {
+    /// The body of [`Self::sync_flow`], with its outcome.
+    fn install_flow(&mut self, sw: &str, flow: &str) -> Synced {
         let Some(fields) = self.flow_fields(sw, flow) else {
-            return false;
+            return Synced::Failed;
         };
         let file = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
         let spec = match FlowSpec::from_files(fields.iter().map(|(k, v)| (k.as_str(), v.as_str())))
@@ -913,18 +894,21 @@ impl OpenFlowDriver {
                 let version = file("version").and_then(|v| v.trim().parse::<u64>().ok());
                 if version.is_some_and(|v| v > 0) {
                     self.put_file(&self.yfs.flow_dir(sw, flow).join("error"), &e.to_string());
-                    return false;
+                    return Synced::Failed;
                 }
-                return true;
+                return Synced::Uncommitted;
             }
         };
         let stale_error = file("error").is_some();
         if spec.version == 0 {
-            return true; // created but never committed
+            return Synced::Uncommitted; // created but never committed
         }
         if let Some((v, old)) = self.installed.get(flow) {
-            if *v >= spec.version {
-                return true;
+            // `/net` is the truth, and the version is only its commit
+            // mark: a field edit committed at the same number (or a lower
+            // one) still reaches the switch.
+            if *v == spec.version && *old == spec {
+                return Synced::Held;
             }
             // The fs flow was rewritten with a different match/priority:
             // the switch entry it used to denote must go, or it lingers.
@@ -949,13 +933,13 @@ impl OpenFlowDriver {
                         .filesystem()
                         .unlinkat(flows, &error, self.yfs.creds());
                 }
-                true
+                Synced::Held
             }
             Err(e) => {
                 // Capability mismatch (e.g. goto_table on a 1.0 driver):
                 // reported through the file system, like everything else.
                 self.put_file(&self.yfs.flow_dir(sw, flow).join("error"), &e.to_string());
-                false
+                Synced::Failed
             }
         }
     }
@@ -1026,6 +1010,17 @@ impl OpenFlowDriver {
             m: yanc_openflow::FlowMatch::any(),
         }));
     }
+}
+
+/// What syncing one flow left on the switch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Synced {
+    /// The switch holds the committed spec: installed now, or already.
+    Held,
+    /// Nothing to install: the flow was never committed.
+    Uncommitted,
+    /// Unreadable, or reported in an `error` file: a later commit retries.
+    Failed,
 }
 
 /// The descriptor a driver holds in `slot`, with its `fstat`. One whose

@@ -215,16 +215,13 @@ fn packet_in_storm_costs_5_syscalls_per_packet_in() {
 }
 
 // ---------------------------------------------------------------------
-// Multi-core pump: workers=1 vs workers=N replay (§5 scheduler).
+// The pump's schedule, replayed (§5 scheduler).
 //
-// The same seeded workload is replayed at several worker counts. One
-// worker (inline index-order dispatch, no threads) must reproduce the
-// recorded serial trace bit for bit — sweep counts, scheduler ledger,
-// per-op syscall totals and both `/net` digests; N workers must match
-// it in everything but the exact-schedule digest. The ready set is
-// frozen by the coordinator's scan each sweep and drivers own disjoint
-// per-switch subtrees, so worker count may only change *which thread*
-// runs a driver, never what runs or what it writes.
+// A seeded workload must reproduce the recorded serial trace bit for
+// bit: sweep counts, scheduler ledger, per-op syscall totals and both
+// `/net` digests. Each sweep reads every driver's readiness and runs the
+// ready ones once, in index order, on the calling thread; the schedule
+// digest pins that order.
 // ---------------------------------------------------------------------
 
 /// The replay workload: bring up a k=4 fabric, packet-in storm from
@@ -283,28 +280,15 @@ fn replay_workload(rt: &mut Runtime) -> (Vec<u32>, Vec<u64>) {
 /// (names + bytes + ownership, schedule-independent) and `schedule`
 /// (full `tree_digest`, which additionally pins inode numbers and
 /// mtime/ctime ticks, i.e. the exact order the tree was built in).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 struct ReplayTrace {
     sweeps: Vec<u32>,
     runs: u64,
     skips: u64,
     idle_pumps: u64,
-    rebuilds: u64,
     per_op: Vec<(&'static str, u64)>,
     content: u64,
     schedule: u64,
-}
-
-impl ReplayTrace {
-    /// The trace minus the exact-schedule digest: what must stay
-    /// invariant when only the worker count changes. (Real parallelism
-    /// reorders metadata ticks; content and syscall totals may not.)
-    fn schedule_free(&self) -> ReplayTrace {
-        ReplayTrace {
-            schedule: 0,
-            ..self.clone()
-        }
-    }
 }
 
 fn trace(rt: &mut Runtime) -> ReplayTrace {
@@ -317,7 +301,6 @@ fn trace(rt: &mut Runtime) -> ReplayTrace {
         runs: sched.runs.load(Ordering::Relaxed),
         skips: sched.skips.load(Ordering::Relaxed),
         idle_pumps: sched.idle_pumps.load(Ordering::Relaxed),
-        rebuilds: sched.rebuilds.load(Ordering::Relaxed),
         per_op: OpKind::all()
             .iter()
             .zip(oracle)
@@ -330,8 +313,8 @@ fn trace(rt: &mut Runtime) -> ReplayTrace {
 
 /// The trace of the serial pump (one thread walking the driver vector in
 /// index order), recorded from `driver::Runtime` at the last commit that
-/// still had a separate serial runtime; `content` and the skip, idle and
-/// rebuild counts are from then. `schedule` was re-recorded when
+/// still had a separate serial runtime; `content` and the skip and idle
+/// counts are from then. `schedule` was re-recorded when
 /// `write_flow` and `publish_packet_in` went through the one materializer.
 /// The per-op table, `sweeps` and `runs` were re-recorded when the drivers
 /// moved onto held descriptors and one filtered watch: the table's total
@@ -345,7 +328,6 @@ fn recorded_serial_trace() -> ReplayTrace {
         runs: 116,
         skips: 24,
         idle_pumps: 1,
-        rebuilds: 1,
         per_op: vec![
             ("stat", 4),
             ("open", 232),
@@ -373,41 +355,9 @@ fn recorded_serial_trace() -> ReplayTrace {
     }
 }
 
-#[test]
-fn parallel_one_worker_replays_exact_serial_schedule() {
-    assert_eq!(
-        trace(&mut Runtime::with_workers(1)),
-        recorded_serial_trace(),
-        "with_workers(1) must replay the recorded serial schedule"
-    );
-}
-
-#[test]
-fn worker_count_is_invisible_to_syscalls_and_digest() {
-    let a = trace(&mut Runtime::with_workers(1));
-
-    for workers in [2, 4, 8] {
-        let mut many = Runtime::with_workers(workers);
-        let b = trace(&mut many);
-        assert_eq!(
-            a.schedule_free(),
-            b.schedule_free(),
-            "workers={workers} diverged from the single-worker replay"
-        );
-        // The whole ready set was dispatched by the pool, no more, no
-        // less: per-worker ledger runs sum to the sched ledger.
-        let pool_runs: u64 = many
-            .worker_stats()
-            .iter()
-            .map(|w| w.runs.load(std::sync::atomic::Ordering::Relaxed))
-            .sum();
-        assert_eq!(pool_runs, b.runs, "pool ran a different set of drivers");
-    }
-}
-
 /// Charged syscalls of one `write_counters_batch` carrying `n` counters.
 fn counters_batch_syscalls(n: usize) -> u64 {
-    let mut rt = Runtime::with_workers(1);
+    let mut rt = Runtime::new();
     let sw = rt.add_switch_with_driver(0xA, 4, 1, vec![Version::V1_3], Version::V1_3);
     rt.pump().unwrap();
     let entries: Vec<(String, u64)> = (0..n)
@@ -421,118 +371,13 @@ fn counters_batch_syscalls(n: usize) -> u64 {
 }
 
 #[test]
-fn fanin_batches_are_identical_across_worker_counts() {
-    let run = |workers: usize| -> (ReplayTrace, u64, u64) {
-        let mut rt = Runtime::with_workers(workers);
-        let fanin = rt.enable_fanin();
-        let t = trace(&mut rt);
-        (t, fanin.flushes(), fanin.replies())
-    };
-    let (a, flushes_a, replies_a) = run(1);
-    // One flush lands the whole poll: a port and a flow reply from each
-    // of the 20 switches. A flush is one `write_counters_batch` — 3
-    // charged syscalls however many counters ride in it — so fan-in pays
-    // 3/40 counter-write syscalls per reply where the un-fanned path
-    // pays 3.
-    assert_eq!((flushes_a, replies_a), (1, 40));
+fn pump_replays_the_recorded_serial_trace() {
+    assert_eq!(trace(&mut Runtime::new()), recorded_serial_trace());
+    // The replay's stats poll lands each of its 40 replies through one
+    // `write_counters_batch` against the switch directory: 3 charged
+    // syscalls however many counters ride in it.
     assert_eq!(counters_batch_syscalls(16), 3);
     assert_eq!(counters_batch_syscalls(1), 3);
-    for workers in [2, 4] {
-        let (b, flushes_b, replies_b) = run(workers);
-        assert_eq!(
-            a.schedule_free(),
-            b.schedule_free(),
-            "fan-in landing diverged at workers={workers}"
-        );
-        assert_eq!(flushes_a, flushes_b);
-        assert_eq!(replies_a, replies_b);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Poll-set rebuild during pump: a driver attached while the pump is in
-// flight (a worker-side registration) must have its readiness edge
-// scanned on the very sweep it appears — not silently dropped until the
-// next pump() call.
-// ---------------------------------------------------------------------
-
-#[test]
-fn driver_attached_mid_pump_is_scanned_same_pump() {
-    use std::sync::atomic::Ordering;
-    for workers in [1, 2] {
-        let mut rt = Runtime::with_workers(workers);
-        rt.add_switch_with_driver(0x1, 4, 1, vec![Version::V1_3], Version::V1_3);
-        rt.pump().unwrap();
-        let sched = rt.sched_stats();
-        let rebuilds_before = sched.rebuilds.load(Ordering::Relaxed);
-
-        // Queue work so the pump sweeps at least twice, and stage an
-        // attach for sweep 1 — it lands *inside* the running pump.
-        rt.yfs.write_flow("sw1", "flood", &flood()).unwrap();
-        rt.stage_attach_at_sweep(1, 0x99, 4, 1, vec![Version::V1_3], Version::V1_3);
-        let sweeps = rt.pump().unwrap();
-        assert!(sweeps >= 2, "staged attach needs a multi-sweep pump");
-
-        // The staged driver handshook to Ready within the same pump:
-        // its HELLO bytes were only reachable through a readiness edge
-        // registered mid-pump.
-        let d = rt.drivers.last().unwrap().lock();
-        assert!(d.ready(), "mid-pump driver never ran (workers={workers})");
-        drop(d);
-        assert!(
-            rt.yfs
-                .list_switches()
-                .unwrap()
-                .contains(&"sw99".to_string()),
-            "mid-pump switch not materialized (workers={workers})"
-        );
-        assert!(
-            sched.rebuilds.load(Ordering::Relaxed) > rebuilds_before,
-            "poll set was not rebuilt mid-pump (workers={workers})"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
-// Work stealing: route every ready driver to one injected straggler;
-// the other workers must steal all of it (the straggler is gated until
-// its queue is empty, so every dispatch that sweep is a steal).
-// ---------------------------------------------------------------------
-
-#[test]
-fn injected_straggler_forces_steals() {
-    use std::sync::atomic::Ordering;
-    let mut rt = Runtime::with_workers(4);
-    let topo = build_fabric(&mut rt, 4, Version::V1_3);
-    rt.inject_straggler(Some(0));
-    let ledger_total =
-        |rt: &Runtime, f: fn(&yanc_driver::WorkerStats) -> &std::sync::atomic::AtomicU64| -> u64 {
-            rt.worker_stats()
-                .iter()
-                .map(|w| f(w).load(Ordering::Relaxed))
-                .sum()
-        };
-    let runs_before = ledger_total(&rt, |w| &w.runs);
-    let steals_before = ledger_total(&rt, |w| &w.steals);
-    let straggler_runs_before = rt.worker_stats()[0].runs.load(Ordering::Relaxed);
-    let hosts = topo.hosts.clone();
-    for (i, &(h, _)) in hosts.iter().enumerate() {
-        let (_, dst) = hosts[(i + 1) % hosts.len()];
-        rt.net.host_ping(h, dst, (i + 1) as u16);
-    }
-    rt.pump().unwrap();
-    let runs = ledger_total(&rt, |w| &w.runs) - runs_before;
-    let steals = ledger_total(&rt, |w| &w.steals) - steals_before;
-    assert!(runs > 0, "storm dispatched no drivers");
-    assert!(steals >= 1, "straggler produced no steals");
-    // Every dispatch under the straggler came from a steal, and the
-    // straggler itself ran nothing.
-    assert_eq!(steals, runs, "non-stolen dispatches under straggler");
-    assert_eq!(
-        rt.worker_stats()[0].runs.load(Ordering::Relaxed),
-        straggler_runs_before,
-        "the gated straggler must not run drivers"
-    );
 }
 
 #[test]

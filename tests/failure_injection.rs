@@ -216,50 +216,48 @@ fn unwritable_flow_dir_denies_but_never_wedges_the_driver() {
 /// after three of each, the table is where it started.
 #[test]
 fn swaps_and_reattaches_hand_back_the_drivers_descriptors() {
-    for workers in [1, 2] {
-        let mut rt = Runtime::with_workers(workers);
-        rt.add_switch_with_driver(0x1, 4, 1, vec![Version::V1_0], Version::V1_0);
+    let mut rt = Runtime::new();
+    rt.add_switch_with_driver(0x1, 4, 1, vec![Version::V1_0], Version::V1_0);
+    rt.pump().unwrap();
+    let fs = rt.yfs.filesystem().clone();
+    let held = |fs: &Filesystem| -> Vec<String> {
+        let mut paths: Vec<String> = fs.fd_table(Uid(0)).into_iter().map(|f| f.path).collect();
+        paths.sort();
+        paths
+    };
+    let start = (fs.open_handle_count(), held(&fs));
+    assert_eq!(
+        start.1,
+        ["/net/switches/sw1/flows", "/net/switches/sw1/packet_out"]
+    );
+    for _ in 0..3 {
+        rt.swap_driver(0x1, Version::V1_0);
         rt.pump().unwrap();
-        let fs = rt.yfs.filesystem().clone();
-        let held = |fs: &Filesystem| -> Vec<String> {
-            let mut paths: Vec<String> = fs.fd_table(Uid(0)).into_iter().map(|f| f.path).collect();
-            paths.sort();
-            paths
-        };
-        let start = (fs.open_handle_count(), held(&fs));
-        assert_eq!(
-            start.1,
-            ["/net/switches/sw1/flows", "/net/switches/sw1/packet_out"]
-        );
-        for _ in 0..3 {
-            rt.swap_driver(0x1, Version::V1_0);
-            rt.pump().unwrap();
-        }
-        assert_eq!((fs.open_handle_count(), held(&fs)), start, "after swaps");
-        for _ in 0..3 {
-            // A 1.3 driver fails against this 1.0-only switch; the
-            // supervisor's re-attach brings a 1.0 driver back.
-            rt.swap_driver(0x1, Version::V1_3);
-            rt.pump().unwrap();
-            assert_eq!(rt.reattach_failed(), 1);
-            rt.pump().unwrap();
-        }
-        assert_eq!(
-            (fs.open_handle_count(), held(&fs)),
-            start,
-            "after reattaches"
-        );
-        assert_eq!(fs.notify().watch_count(), 1, "one watch, the live driver's");
-        let flood = FlowSpec {
-            m: FlowMatch::any(),
-            actions: vec![Action::out(port_no::FLOOD)],
-            ..Default::default()
-        };
-        rt.yfs.write_flow("sw1", "flood", &flood).unwrap();
-        rt.pump().unwrap();
-        assert_eq!(rt.net.switches[&0x1].flow_count(), 1);
-        yanc_harness::check_flows(&rt).unwrap();
     }
+    assert_eq!((fs.open_handle_count(), held(&fs)), start, "after swaps");
+    for _ in 0..3 {
+        // A 1.3 driver fails against this 1.0-only switch; the
+        // supervisor's re-attach brings a 1.0 driver back.
+        rt.swap_driver(0x1, Version::V1_3);
+        rt.pump().unwrap();
+        assert_eq!(rt.reattach_failed(), 1);
+        rt.pump().unwrap();
+    }
+    assert_eq!(
+        (fs.open_handle_count(), held(&fs)),
+        start,
+        "after reattaches"
+    );
+    assert_eq!(fs.notify().watch_count(), 1, "one watch, the live driver's");
+    let flood = FlowSpec {
+        m: FlowMatch::any(),
+        actions: vec![Action::out(port_no::FLOOD)],
+        ..Default::default()
+    };
+    rt.yfs.write_flow("sw1", "flood", &flood).unwrap();
+    rt.pump().unwrap();
+    assert_eq!(rt.net.switches[&0x1].flow_count(), 1);
+    yanc_harness::check_flows(&rt).unwrap();
 }
 
 /// Removing a switch directory orphans what its driver holds. The flow

@@ -73,35 +73,79 @@ fn test_sources_never_read_the_wall_clock() {
     );
 }
 
-/// The parallel pump scheduler is *runtime* code, but it gets the same
-/// audit as the tests: every wait in `par.rs` must be a condvar parked
-/// on deterministic state (generation counters, queue emptiness), never
-/// a clock. `wait_timeout` is forbidden on top of the usual tokens —
-/// a timed wait is a sleep in disguise, and the straggler gate proved
-/// the lost-wakeup-safe pattern works without one.
-#[test]
-fn parallel_scheduler_never_reads_the_wall_clock() {
-    let here = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let src = fs::read_to_string(here.join("../driver/src/par.rs")).unwrap();
-    assert!(
-        src.contains("Condvar"),
-        "par.rs no longer uses condvars; re-point this audit at the new \
-         scheduler blocking primitive"
-    );
-    let mut violations = Vec::new();
-    for (lineno, line) in src.lines().enumerate() {
+/// Lines of non-test driver code (before `#[cfg(test)]`, `//` comments
+/// stripped) in `src` that contain one of `tokens` and are not in
+/// `allow`, as `crates/driver/src/<file>:<line>: <line>`.
+fn driver_violations(
+    file: &str,
+    src: &str,
+    tokens: &[&str],
+    allow: &[(&str, &str)],
+) -> Vec<String> {
+    // Unit tests sit at the bottom of a file, behind `#[cfg(test)]`.
+    let code = src.split("\n#[cfg(test)]").next().unwrap();
+    let mut out = Vec::new();
+    for (lineno, line) in code.lines().enumerate() {
         let code = line.split("//").next().unwrap_or("");
-        for tok in FORBIDDEN.iter().copied().chain(["wait_timeout"]) {
-            if code.contains(tok) {
-                violations.push(format!("par.rs:{}: {tok}: {}", lineno + 1, line.trim()));
-            }
+        let allowed = allow.contains(&(file, line.trim()));
+        if !allowed && tokens.iter().any(|t| code.contains(t)) {
+            out.push(format!(
+                "crates/driver/src/{file}:{}: {}",
+                lineno + 1,
+                line.trim()
+            ));
         }
     }
+    out
+}
+
+/// [`driver_violations`] over every file in `crates/driver/src`.
+fn audit_driver_src(tokens: &[&str], allow: &[(&str, &str)]) -> Vec<String> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../driver/src");
+    let mut found = Vec::new();
+    let mut scanned = 0;
+    for entry in fs::read_dir(&dir).unwrap().flatten() {
+        let file = entry.file_name().to_string_lossy().to_string();
+        let src = fs::read_to_string(entry.path()).unwrap();
+        scanned += 1;
+        found.extend(driver_violations(&file, &src, tokens, allow));
+    }
+    assert!(scanned >= 3, "expected the driver sources");
+    found
+}
+
+/// The pump is *runtime* code, but the driver crate gets the same audit
+/// as the tests, and more: no wall clock and no timed wait
+/// (`wait_timeout` is a sleep in disguise), and no thread of its own. The
+/// pump runs each sweep's ready drivers on the caller's thread; a pool
+/// comes back only with a benchmark that shows two workers beating one.
+#[test]
+fn the_pump_stays_on_the_callers_thread_and_off_the_wall_clock() {
+    const THREADS: [&str; 5] = [
+        "wait_timeout",
+        "std::thread",
+        "thread::spawn",
+        "Builder::new().spawn",
+        "Condvar",
+    ];
+    /// (file, line content) pairs allowed anyway. Empty; an entry needs a
+    /// comment saying why the use is deterministic and on the caller's
+    /// thread.
+    const ALLOWLIST: [(&str, &str); 0] = [];
+    let tokens: Vec<&str> = FORBIDDEN.iter().chain(&THREADS).copied().collect();
+    // The audit fires: an injected violation is reported by file and line.
+    let injected = "fn pump(&mut self) {\n    std::thread::scope(|s| {});\n}\n";
+    assert_eq!(
+        driver_violations("runtime.rs", injected, &tokens, &ALLOWLIST),
+        ["crates/driver/src/runtime.rs:2: std::thread::scope(|s| {});"]
+    );
+    let found = audit_driver_src(&tokens, &ALLOWLIST);
     assert!(
-        violations.is_empty(),
-        "wall-clock or timed-wait constructs in the parallel scheduler \
-         (park on a counter-gated condvar instead):\n{}",
-        violations.join("\n")
+        found.is_empty(),
+        "wall-clock, timed-wait or thread constructs in the driver crate \
+         (keep the pump on the caller's thread, or extend the audit \
+         ALLOWLIST with a justification):\n{}",
+        found.join("\n")
     );
 }
 
@@ -235,39 +279,13 @@ fn the_driver_reads_through_descriptors_and_hears_only_commits() {
     /// (file, line content) pairs allowed anyway. Empty; an entry needs a
     /// comment saying why the read cannot go through a descriptor.
     const ALLOWLIST: [(&str, &str); 0] = [];
-    fn violations(file: &str, src: &str) -> Vec<String> {
-        // Unit tests sit at the bottom of a file, behind `#[cfg(test)]`.
-        let code = src.split("\n#[cfg(test)]").next().unwrap();
-        let mut out = Vec::new();
-        for (lineno, line) in code.lines().enumerate() {
-            let code = line.split("//").next().unwrap_or("");
-            let allowed = ALLOWLIST.contains(&(file, line.trim()));
-            if !allowed && TOKENS.iter().any(|t| code.contains(t)) {
-                out.push(format!(
-                    "crates/driver/src/{file}:{}: {}",
-                    lineno + 1,
-                    line.trim()
-                ));
-            }
-        }
-        out
-    }
     // The audit fires: an injected violation is reported by file and line.
     let injected = "fn drain(&self) {\n    let s = fs.read_to_string(p, c);\n}\n";
     assert_eq!(
-        violations("driver.rs", injected),
+        driver_violations("driver.rs", injected, &TOKENS, &ALLOWLIST),
         ["crates/driver/src/driver.rs:2: let s = fs.read_to_string(p, c);"]
     );
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../driver/src");
-    let mut found = Vec::new();
-    let mut scanned = 0;
-    for entry in fs::read_dir(&dir).unwrap().flatten() {
-        let file = entry.file_name().to_string_lossy().to_string();
-        let src = fs::read_to_string(entry.path()).unwrap();
-        scanned += 1;
-        found.extend(violations(&file, &src));
-    }
-    assert!(scanned >= 3, "expected the driver sources");
+    let found = audit_driver_src(&TOKENS, &ALLOWLIST);
     assert!(
         found.is_empty(),
         "path-addressed reads or an unfiltered watch in the driver (read \

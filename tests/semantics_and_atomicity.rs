@@ -338,3 +338,54 @@ fn renaming_a_new_version_into_place_keeps_the_flow_installed() {
     assert_eq!(rt.net.switches[&0xa].flow_count(), 0);
     check_flows(&rt).unwrap();
 }
+
+#[test]
+fn a_field_edit_recommitted_at_the_same_version_reaches_the_switch() {
+    let mut rt = rt_with_switch(Version::V1_3);
+    rt.yfs.write_flow("swa", "arp", &arp_flow()).unwrap();
+    rt.pump().unwrap();
+    let (fs, creds) = (rt.yfs.filesystem().clone(), rt.yfs.creds().clone());
+    let dir = rt.yfs.flow_dir("swa", "arp");
+    fs.write_file(dir.join("action.out").as_str(), b"3", &creds)
+        .unwrap();
+    // `version` is the commit cell, not a counter the writer must bump:
+    // rewriting it with the number it already holds commits the edit.
+    fs.write_file(dir.join("version").as_str(), b"1", &creds)
+        .unwrap();
+    let before = flow_mods(&rt);
+    rt.pump().unwrap();
+    assert_eq!(flow_mods(&rt) - before, 1, "one add, no delete");
+    let table: Vec<_> = rt.net.switches[&0xa].table(0).unwrap().iter().collect();
+    assert_eq!(table.len(), 1);
+    assert_eq!(table[0].actions, vec![yanc_openflow::Action::out(3)]);
+    check_flows(&rt).unwrap();
+    // Committing the same spec again changes nothing on the switch.
+    fs.write_file(dir.join("version").as_str(), b"1", &creds)
+        .unwrap();
+    rt.pump().unwrap();
+    assert_eq!(flow_mods(&rt) - before, 1, "nothing new to install");
+}
+
+#[test]
+fn renaming_a_version_of_the_same_number_into_place_reinstalls() {
+    let mut rt = rt_with_switch(Version::V1_3);
+    rt.yfs.write_flow("swa", "arp", &arp_flow()).unwrap();
+    rt.pump().unwrap();
+    let (fs, creds) = (rt.yfs.filesystem().clone(), rt.yfs.creds().clone());
+    let dir = rt.yfs.flow_dir("swa", "arp");
+    fs.write_file(dir.join("action.out").as_str(), b"3", &creds)
+        .unwrap();
+    // `mv tmp version` with the number the flow already holds: the
+    // driver hears the old `version` go and the new one arrive.
+    fs.mkdir_all("/tmp", Mode::DIR_DEFAULT, &creds).unwrap();
+    fs.write_file("/tmp/version", b"1", &creds).unwrap();
+    let before = flow_mods(&rt);
+    fs.rename("/tmp/version", dir.join("version").as_str(), &creds)
+        .unwrap();
+    rt.pump().unwrap();
+    assert_eq!(flow_mods(&rt) - before, 1, "one add, no delete");
+    let table: Vec<_> = rt.net.switches[&0xa].table(0).unwrap().iter().collect();
+    assert_eq!(table.len(), 1);
+    assert_eq!(table[0].actions, vec![yanc_openflow::Action::out(3)]);
+    check_flows(&rt).unwrap();
+}
